@@ -505,19 +505,21 @@ std::array<std::uint8_t, 32> clamp_scalar(const std::uint8_t h[32]) {
 }
 
 // The shared input validation of single and batch verification: signature
-// length, canonical s (< L), decodable A and R, and the challenge scalar
-// k = SHA512(R || A || M) mod L. nullopt mirrors exactly the cases where
-// ed25519_verify answers false without evaluating the curve equation.
+// length, canonical s (< L), decodable A, and the challenge scalar
+// k = SHA512(R || A || M) mod L. Only the batch equation needs R as a point
+// (decode_r); single verification compares encodings and leaves `r` unset.
+// Every input rejected here is also rejected by ed25519_verify.
 struct DecodedVerify {
   Point a;                                // public-key point
-  Point r;                                // signature R point
+  Point r;                                // signature R point (decode_r)
   std::array<std::uint8_t, 32> s_bytes{};  // canonical scalar s
   Scalar s;
   Scalar k;
 };
 
 std::optional<DecodedVerify> decode_for_verify(
-    const Ed25519PublicKey& public_key, ByteView message, ByteView signature) {
+    const Ed25519PublicKey& public_key, ByteView message, ByteView signature,
+    bool decode_r) {
   if (signature.size() != kEd25519SignatureSize) return std::nullopt;
   const ByteView r_enc = signature.subspan(0, 32);
   const ByteView s_enc = signature.subspan(32, 32);
@@ -536,10 +538,12 @@ std::optional<DecodedVerify> decode_for_verify(
   const auto a_point = point_decode(public_key);
   // ct-ok: the public key is a public input to verification.
   if (!a_point) return std::nullopt;
-  const auto r_point = point_decode(r_enc);
-  if (!r_point) return std::nullopt;
   out.a = *a_point;
-  out.r = *r_point;
+  if (decode_r) {
+    const auto r_point = point_decode(r_enc);
+    if (!r_point) return std::nullopt;
+    out.r = *r_point;
+  }
 
   Sha512 hk;
   hk.update(r_enc);
@@ -559,9 +563,16 @@ bool point_is_identity(const Point& p) {
 }  // namespace
 
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
-  const Sha512Digest h = Sha512::hash(seed);
-  const auto a = clamp_scalar(h.data());
-  return point_encode(base_scalar_mul(a));
+  return ed25519_expand_key(seed).public_key;
+}
+
+Ed25519SigningKey ed25519_expand_key(const Ed25519Seed& seed) {
+  const Zeroizing<Sha512Digest> h = Sha512::hash(seed);
+  Ed25519SigningKey key;
+  key.scalar = clamp_scalar(h->data());
+  std::memcpy(key.prefix.data(), h->data() + 32, 32);
+  key.public_key = point_encode(base_scalar_mul(key.scalar));
+  return key;
 }
 
 Ed25519KeyPair ed25519_generate(RandomSource& rng) {
@@ -571,14 +582,10 @@ Ed25519KeyPair ed25519_generate(RandomSource& rng) {
   return kp;
 }
 
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message) {
-  const Sha512Digest h = Sha512::hash(seed);
-  const auto a = clamp_scalar(h.data());
-  const Ed25519PublicKey pub = point_encode(base_scalar_mul(a));
-
+Ed25519Signature ed25519_sign(const Ed25519SigningKey& key, ByteView message) {
   // r = SHA512(prefix || M) mod L
   Sha512 hr;
-  hr.update(ByteView(h.data() + 32, 32));
+  hr.update(key.prefix);
   hr.update(message);
   const Sha512Digest r_wide = hr.finish();
   const Scalar r = scalar_from_bytes_wide(r_wide);
@@ -588,13 +595,13 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message) {
   // k = SHA512(R || A || M) mod L
   Sha512 hk;
   hk.update(r_enc);
-  hk.update(pub);
+  hk.update(key.public_key);
   hk.update(message);
   const Sha512Digest k_wide = hk.finish();
   const Scalar k = scalar_from_bytes_wide(k_wide);
 
   // s = (r + k * a) mod L
-  const Scalar a_scalar = scalar_from_bytes_wide(a);
+  const Scalar a_scalar = scalar_from_bytes_wide(key.scalar);
   const Scalar s = scalar_mul_add(k, a_scalar, r);
   const auto s_bytes = scalar_to_bytes(s);
 
@@ -606,13 +613,18 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message) {
 
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
                     ByteView signature) {
-  const auto decoded = decode_for_verify(public_key, message, signature);
+  const auto decoded =
+      decode_for_verify(public_key, message, signature, /*decode_r=*/false);
   // ct-ok: verification inputs (public key, signature) are public values.
   if (!decoded) return false;
   const auto k_bytes = scalar_to_bytes(decoded->k);
 
   // Check s*B == R + k*A  <=>  k*(-A) + s*B == R, computed in one
-  // interleaved Straus pass with shared doublings.
+  // interleaved Straus pass with shared doublings. R is not decoded: the
+  // check point's canonical encoding is compared with the 32 R bytes
+  // (RFC 8032 §5.1.7), and R bytes that are non-canonical (y >= p, or x = 0
+  // with the sign bit set) or name no curve point never equal a canonical
+  // encoding, so they are rejected exactly as a failed decode would.
   const Point check = double_scalarmult_vartime(
       k_bytes, point_neg(decoded->a), decoded->s_bytes);
   const auto check_enc = point_encode(check);
@@ -636,7 +648,7 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
   candidates.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto decoded = decode_for_verify(items[i].public_key, items[i].message,
-                                     items[i].signature);
+                                     items[i].signature, /*decode_r=*/true);
     if (decoded) candidates.push_back({i, std::move(*decoded), Scalar{}});
   }
   if (candidates.empty()) return ok;

@@ -35,16 +35,33 @@ struct Ed25519KeyPair {
   Ed25519PublicKey public_key{};
 };
 
+/// The RFC 8032 §5.1.5 expansion of a seed: the clamped secret scalar a,
+/// the nonce prefix, and the encoded public key A = a·B. Deriving it costs
+/// a SHA-512 and a fixed-base multiply, so a holder derives it once from
+/// its seed and signs from it; each signature then pays only for R = r·B.
+/// The secret halves wipe themselves (Zeroizing), so the key lives exactly
+/// as long as the object holding it.
+struct Ed25519SigningKey {
+  Zeroizing<std::array<std::uint8_t, 32>> scalar;  // clamped a
+  Zeroizing<std::array<std::uint8_t, 32>> prefix;  // SHA-512(seed)[32..64)
+  Ed25519PublicKey public_key{};
+};
+
 /// Derive the public key from a seed.
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
+
+/// Expand a seed into its signing key.
+Ed25519SigningKey ed25519_expand_key(const Ed25519Seed& seed);
 
 /// Generate a fresh keypair.
 Ed25519KeyPair ed25519_generate(RandomSource& rng);
 
 /// Deterministic signature over `message`.
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message);
+Ed25519Signature ed25519_sign(const Ed25519SigningKey& key, ByteView message);
 
-/// Verify. Rejects non-canonical s (s >= L) and undecodable points.
+/// Verify. Rejects non-canonical s (s >= L), an undecodable public key, and
+/// every R that is not the canonical encoding of s·B − k·A (which covers
+/// non-canonical and undecodable R, RFC 8032 §5.1.7).
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
                     ByteView signature);
 
@@ -62,8 +79,9 @@ struct Ed25519BatchItem {
 /// (~3-4x fewer point operations per signature than verifying serially).
 ///
 /// The per-item verdicts are always identical to calling ed25519_verify on
-/// each item: items failing the single-verify input checks (bad length,
-/// non-canonical s, undecodable A or R) are rejected up front and excluded
+/// each item: items failing the input checks (bad length, non-canonical s,
+/// undecodable A or R — the batch equation needs R as a point, and single
+/// verify rejects every such R too) are rejected up front and excluded
 /// from the combined equation, and if the combined equation does not hold
 /// the remaining items fall back to individual verification, identifying
 /// exactly which signatures are bad while the rest still pass.

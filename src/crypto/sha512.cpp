@@ -1,5 +1,7 @@
 #include "crypto/sha512.h"
 
+#include <cstring>
+
 namespace vnfsgx::crypto {
 
 namespace {
@@ -120,16 +122,24 @@ void Sha512::update(ByteView data) {
 
 Sha512Digest Sha512::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != kSha512BlockSize - 16) update(ByteView(&zero, 1));
-  // 128-bit length: high 64 bits are zero for any message this library hashes.
-  std::uint8_t len_bytes[16] = {0};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  // 0x80, zeros up to the 16-byte length field, spilling into a second
+  // block when fewer than 17 bytes are left in this one.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kSha512BlockSize - 16) {
+    std::memset(buffer_.data() + buffer_len_, 0,
+                kSha512BlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(ByteView(len_bytes, 16));
+  // 128-bit length: high 64 bits are zero for any message this library
+  // hashes, so they are part of the zero fill.
+  std::memset(buffer_.data() + buffer_len_, 0,
+              kSha512BlockSize - 8 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kSha512BlockSize - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  }
+  process_block(buffer_.data());
 
   Sha512Digest out;
   for (int i = 0; i < 8; ++i) {

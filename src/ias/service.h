@@ -87,7 +87,7 @@ class IasService {
   mutable std::mutex mutex_;
   crypto::RandomSource& rng_;
   const Clock& clock_;
-  crypto::Ed25519KeyPair signing_key_;
+  crypto::Ed25519SigningKey signing_key_;  // expanded once at construction
   std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platforms_;
   std::map<sgx::PlatformId, bool> revoked_;
   std::uint64_t next_report_id_ = 1;

@@ -67,7 +67,7 @@ class Tpm {
  private:
   mutable std::mutex mutex_;
   std::array<Pcr, kTpmPcrCount> pcrs_{};
-  crypto::Ed25519KeyPair aik_;
+  crypto::Ed25519SigningKey aik_;  // expanded once at start-up
 };
 
 }  // namespace vnfsgx::ima

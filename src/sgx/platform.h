@@ -110,7 +110,7 @@ class QuotingEnclave {
  private:
   SgxPlatform& platform_;
   Measurement measurement_;
-  crypto::Ed25519KeyPair attestation_key_;
+  crypto::Ed25519SigningKey attestation_key_;  // expanded once at start-up
 };
 
 }  // namespace vnfsgx::sgx

@@ -60,12 +60,14 @@ Measurement SigStruct::mr_signer() const {
 SigStruct sign_enclave(const crypto::Ed25519Seed& vendor_seed,
                        const Measurement& measurement,
                        std::uint16_t isv_prod_id, std::uint16_t isv_svn) {
+  const crypto::Ed25519SigningKey vendor_key =
+      crypto::ed25519_expand_key(vendor_seed);
   SigStruct s;
-  s.vendor_public_key = crypto::ed25519_public_key(vendor_seed);
+  s.vendor_public_key = vendor_key.public_key;
   s.enclave_measurement = measurement;
   s.isv_prod_id = isv_prod_id;
   s.isv_svn = isv_svn;
-  s.signature = crypto::ed25519_sign(vendor_seed, s.tbs());
+  s.signature = crypto::ed25519_sign(vendor_key, s.tbs());
   return s;
 }
 

@@ -4,7 +4,7 @@
 // paper's design the VNF's client key lives inside an SGX enclave and never
 // leaves it, so the TLS stack asks the enclave to produce the
 // CertificateVerify signature. Software-held keys just wrap
-// ed25519_sign in the callback.
+// ed25519_sign over an expanded key in the callback.
 #pragma once
 
 #include <functional>
@@ -83,11 +83,12 @@ struct Config {
   const Clock* clock = nullptr;        // required
   crypto::RandomSource* rng = nullptr; // required
 
-  /// Convenience: identity from a certificate + software key. The closure
-  /// holds its seed copy in a Zeroizing so it is wiped with the Config.
+  /// Convenience: identity from a certificate + software key. The seed is
+  /// expanded once here; the closure holds the expanded key, whose secret
+  /// halves are Zeroizing, so it is wiped with the Config.
   static SignFunction software_signer(const crypto::Ed25519Seed& seed) {
-    return [seed = Zeroizing<crypto::Ed25519Seed>(seed)](ByteView data) {
-      return crypto::ed25519_sign(seed, data);
+    return [key = crypto::ed25519_expand_key(seed)](ByteView data) {
+      return crypto::ed25519_sign(key, data);
     };
   }
 };

@@ -1,5 +1,7 @@
 #include "vnf/credential_enclave.h"
 
+#include <optional>
+
 #include "crypto/sha256.h"
 #include "pki/tlv.h"
 #include "pki/truststore.h"
@@ -99,7 +101,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
       case kOpGetCertificate:
         return get_certificate(services);
       case kOpSign:
-        return sign(input, services);
+        return sign(input);
       case kOpSealState:
         return seal_state(services);
       case kOpRestoreState:
@@ -123,12 +125,13 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
   }
 
  private:
-  Zeroizing<crypto::Ed25519Seed> seed_from_vault(
-      sgx::EnclaveServices& services) {
-    const Bytes& seed_bytes = services.vault().load("seed");
-    Zeroizing<crypto::Ed25519Seed> seed;
-    std::copy(seed_bytes.begin(), seed_bytes.end(), seed.begin());
-    return seed;
+  /// The vault seed's signing key; throws while the vault holds no seed.
+  /// The seed enters the vault only through generate_key and restore_state,
+  /// which both expand it right away, and leaves it only through
+  /// rotate_key, which drops the key with it.
+  const crypto::Ed25519SigningKey& signing_key() const {
+    if (!signing_key_) throw Error("credential enclave: no key generated yet");
+    return *signing_key_;
   }
 
   Bytes generate_key(sgx::EnclaveServices& services) {
@@ -136,8 +139,9 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
       Zeroizing<crypto::Ed25519Seed> seed;
       services.read_rand(seed);
       services.vault().store("seed", Bytes(seed.begin(), seed.end()));
+      signing_key_ = crypto::ed25519_expand_key(seed);
     }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
+    const auto& pub = signing_key().public_key;
     return Bytes(pub.begin(), pub.end());
   }
 
@@ -146,22 +150,15 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     const auto nonce = r.expect_array<32>(kTagNonce);
     const sgx::TargetInfo target =
         sgx::TargetInfo::decode(r.expect(kTagTargetInfo));
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
-    const sgx::Report report =
-        services.create_report(target, credential_report_data(nonce, pub));
+    const sgx::Report report = services.create_report(
+        target,
+        credential_report_data(nonce, signing_key().public_key));
     return report.encode();
   }
 
   Bytes install_certificate(ByteView input, sgx::EnclaveServices& services) {
     const pki::Certificate cert = pki::Certificate::decode(input);
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
-    if (cert.public_key != pub) {
+    if (cert.public_key != signing_key().public_key) {
       throw SecurityViolation(
           "credential enclave: certificate key does not match enclave key");
     }
@@ -176,11 +173,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     return services.vault().load("cert");
   }
 
-  Bytes sign(ByteView input, sgx::EnclaveServices& services) {
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto sig = crypto::ed25519_sign(seed_from_vault(services), input);
+  Bytes sign(ByteView input) {
+    const auto sig = crypto::ed25519_sign(signing_key(), input);
     return Bytes(sig.begin(), sig.end());
   }
 
@@ -201,6 +195,10 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     }
     pki::TlvReader r(*plain);
     services.vault().store("seed", r.expect_bytes(kTagSeed));
+    const Bytes& seed_bytes = services.vault().load("seed");
+    Zeroizing<crypto::Ed25519Seed> seed;
+    std::copy(seed_bytes.begin(), seed_bytes.end(), seed.begin());
+    signing_key_ = crypto::ed25519_expand_key(seed);
     if (!r.done()) {
       services.vault().store("cert", r.expect_bytes(kTagCert));
     }
@@ -222,15 +220,15 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     truststore_->add_root(ca_root);
     clock_ = std::make_unique<FixedClock>(now);
     rng_ = std::make_unique<ServicesRng>(services);
-    Zeroizing<crypto::Ed25519Seed> seed = seed_from_vault(services);
 
     tls::Config config;
     config.certificate =
         pki::Certificate::decode(services.vault().load("cert"));
-    // The signer closes over the seed *inside the enclave*; the private
-    // key is never marshalled out, and the closure's copy wipes itself.
-    config.signer = [seed = std::move(seed)](ByteView data) {
-      return crypto::ed25519_sign(seed, data);
+    // The signer closes over a copy of the expanded key *inside the
+    // enclave*; the private key is never marshalled out, and the closure's
+    // copy wipes itself.
+    config.signer = [key = signing_key()](ByteView data) {
+      return crypto::ed25519_sign(key, data);
     };
     config.truststore = truststore_.get();
     config.expected_server_name = expected_name;
@@ -270,12 +268,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     pki::TlvReader r(input);
     const sgx::TargetInfo target =
         sgx::TargetInfo::decode(r.expect(kTagTargetInfo));
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
-    const sgx::Report report =
-        services.create_report(target, ratls::report_data_for_key(pub));
+    const sgx::Report report = services.create_report(
+        target, ratls::report_data_for_key(signing_key().public_key));
     return report.encode();
   }
 
@@ -298,11 +292,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     spec.not_before = static_cast<UnixTime>(r.expect_u64(kTagNotBefore));
     spec.not_after = static_cast<UnixTime>(r.expect_u64(kTagNotAfter));
 
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    Zeroizing<crypto::Ed25519Seed> seed = seed_from_vault(services);
-    const auto pub = crypto::ed25519_public_key(seed);
+    const crypto::Ed25519SigningKey& key = signing_key();
+    const auto& pub = key.public_key;
     // The quote must speak for THIS enclave's key: untrusted code supplied
     // it, and binding someone else's quote to our key (or ours to theirs)
     // must not produce a certificate.
@@ -312,7 +303,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     }
     const pki::Certificate cert = ratls::make_certificate(
         spec, pub, evidence,
-        [&seed](ByteView data) { return crypto::ed25519_sign(seed, data); });
+        [&key](ByteView data) { return crypto::ed25519_sign(key, data); });
     services.vault().store("cert", cert.encode());
     return cert.encode();
   }
@@ -322,6 +313,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     tls_close();
     services.vault().erase("seed");
     services.vault().erase("cert");
+    signing_key_.reset();
     return generate_key(services);
   }
 
@@ -329,6 +321,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     if (!session_) throw Error("credential enclave: no TLS session open");
   }
 
+  // The credential key, expanded once per seed; wipes itself when replaced.
+  std::optional<crypto::Ed25519SigningKey> signing_key_;
   // In-enclave TLS state: session keys live and die here.
   std::unique_ptr<pki::TrustStore> truststore_;
   std::unique_ptr<FixedClock> clock_;

@@ -1,5 +1,6 @@
 // X25519 (RFC 7748) and Ed25519 (RFC 8032) tests against the RFC vectors,
-// plus algebraic properties (DH agreement, signature malleability checks).
+// plus algebraic properties (DH agreement, signature malleability checks)
+// and the GF(2^255 - 19) kernels underneath both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +8,9 @@
 #include "common/error.h"
 #include "common/hex.h"
 #include "crypto/ed25519.h"
+#include "crypto/field25519.h"
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 #include "crypto/x25519.h"
 
 namespace vnfsgx::crypto {
@@ -104,7 +107,7 @@ TEST(Ed25519, Rfc8032Test1EmptyMessage) {
   const auto pub = ed25519_public_key(seed);
   EXPECT_EQ(to_hex(pub),
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a");
-  const auto sig = ed25519_sign(seed, {});
+  const auto sig = ed25519_sign(ed25519_expand_key(seed), {});
   EXPECT_EQ(to_hex(ByteView(sig.data(), sig.size())),
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
             "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b");
@@ -118,7 +121,7 @@ TEST(Ed25519, Rfc8032Test2OneByte) {
   EXPECT_EQ(to_hex(pub),
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c");
   const Bytes msg = from_hex("72");
-  const auto sig = ed25519_sign(seed, msg);
+  const auto sig = ed25519_sign(ed25519_expand_key(seed), msg);
   EXPECT_EQ(to_hex(ByteView(sig.data(), sig.size())),
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00");
@@ -132,7 +135,7 @@ TEST(Ed25519, Rfc8032Test3TwoBytes) {
   EXPECT_EQ(to_hex(pub),
             "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025");
   const Bytes msg = from_hex("af82");
-  const auto sig = ed25519_sign(seed, msg);
+  const auto sig = ed25519_sign(ed25519_expand_key(seed), msg);
   EXPECT_EQ(to_hex(ByteView(sig.data(), sig.size())),
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
             "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a");
@@ -143,7 +146,7 @@ TEST(Ed25519, TamperedSignatureRejected) {
   DeterministicRandom rng(5);
   const auto kp = ed25519_generate(rng);
   const Bytes msg = to_bytes("attestation quote body");
-  auto sig = ed25519_sign(kp.seed, msg);
+  auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
   EXPECT_TRUE(ed25519_verify(kp.public_key, msg, ByteView(sig.data(), 64)));
   for (std::size_t i = 0; i < sig.size(); i += 5) {
     auto bad = sig;
@@ -157,7 +160,7 @@ TEST(Ed25519, TamperedMessageRejected) {
   DeterministicRandom rng(6);
   const auto kp = ed25519_generate(rng);
   const Bytes msg = to_bytes("the signed message");
-  const auto sig = ed25519_sign(kp.seed, msg);
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
   Bytes other = msg;
   other.back() ^= 1;
   EXPECT_FALSE(ed25519_verify(kp.public_key, other, ByteView(sig.data(), 64)));
@@ -169,7 +172,7 @@ TEST(Ed25519, WrongKeyRejected) {
   const auto kp1 = ed25519_generate(rng);
   const auto kp2 = ed25519_generate(rng);
   const Bytes msg = to_bytes("msg");
-  const auto sig = ed25519_sign(kp1.seed, msg);
+  const auto sig = ed25519_sign(ed25519_expand_key(kp1.seed), msg);
   EXPECT_FALSE(ed25519_verify(kp2.public_key, msg, ByteView(sig.data(), 64)));
 }
 
@@ -179,7 +182,7 @@ TEST(Ed25519, NonCanonicalSRejected) {
   DeterministicRandom rng(8);
   const auto kp = ed25519_generate(rng);
   const Bytes msg = to_bytes("msg");
-  auto sig = ed25519_sign(kp.seed, msg);
+  auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
   // L = 2^252 + 27742317777372353535851937790883648493, little-endian.
   const Bytes l_le = from_hex(
       "edd3f55c1a631258d69cf7a2def9de14"
@@ -197,7 +200,7 @@ TEST(Ed25519, NonCanonicalSRejected) {
 TEST(Ed25519, BadSignatureLengthRejected) {
   DeterministicRandom rng(9);
   const auto kp = ed25519_generate(rng);
-  const auto sig = ed25519_sign(kp.seed, to_bytes("m"));
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), to_bytes("m"));
   EXPECT_FALSE(ed25519_verify(kp.public_key, to_bytes("m"),
                               ByteView(sig.data(), 63)));
   EXPECT_FALSE(ed25519_verify(kp.public_key, to_bytes("m"), {}));
@@ -210,7 +213,7 @@ TEST_P(Ed25519Sweep, SignVerifyRoundTrip) {
   DeterministicRandom rng(static_cast<std::uint64_t>(GetParam()));
   const auto kp = ed25519_generate(rng);
   const Bytes msg = rng.bytes(static_cast<std::size_t>(GetParam()) * 17 % 300);
-  const auto sig = ed25519_sign(kp.seed, msg);
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
   EXPECT_TRUE(ed25519_verify(kp.public_key, msg, ByteView(sig.data(), 64)));
 }
 
@@ -255,7 +258,7 @@ TEST(Ed25519, RandomSignVerifyTamperSweep) {
   for (int i = 0; i < 1000; ++i) {
     const auto kp = ed25519_generate(rng);
     const Bytes msg = rng.bytes(static_cast<std::size_t>(i) % 97);
-    const auto sig = ed25519_sign(kp.seed, msg);
+    const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
     ASSERT_TRUE(ed25519_verify(kp.public_key, msg, ByteView(sig.data(), 64)))
         << "iteration " << i;
     auto bad = sig;
@@ -263,6 +266,26 @@ TEST(Ed25519, RandomSignVerifyTamperSweep) {
     ASSERT_FALSE(ed25519_verify(kp.public_key, msg, ByteView(bad.data(), 64)))
         << "iteration " << i;
   }
+}
+
+// Expanded-key signing must be byte-identical to the seed-based signing it
+// replaced. The digest below was produced by the previous implementation
+// (public key re-derived from the seed, two fixed-base multiplies per
+// signature) over these same 1,000 random keys and messages.
+TEST(Ed25519, ExpandedKeySignaturesMatchSeedSigning) {
+  DeterministicRandom rng(0x5167);
+  Sha256 all;
+  for (int i = 0; i < 1000; ++i) {
+    const auto kp = ed25519_generate(rng);
+    const Bytes msg = rng.bytes(static_cast<std::size_t>(i) % 131);
+    const Ed25519SigningKey key = ed25519_expand_key(kp.seed);
+    ASSERT_EQ(key.public_key, kp.public_key) << "iteration " << i;
+    const auto sig = ed25519_sign(key, msg);
+    all.update(ByteView(sig.data(), sig.size()));
+  }
+  const auto digest = all.finish();
+  EXPECT_EQ(to_hex(ByteView(digest.data(), digest.size())),
+            "1033ffa9ef1da47a26a1d819cdeeb256666fcc4bcd700b6edb6ee79a5481a127");
 }
 
 }  // namespace
@@ -319,7 +342,8 @@ std::vector<SignedMessage> make_signed(DeterministicRandom& rng,
     const auto kp = ed25519_generate(rng);
     out[i].public_key = kp.public_key;
     out[i].message = rng.bytes(i % 113);
-    out[i].signature = ed25519_sign(kp.seed, out[i].message);
+    out[i].signature =
+        ed25519_sign(ed25519_expand_key(kp.seed), out[i].message);
   }
   return out;
 }
@@ -375,7 +399,7 @@ TEST(Ed25519Batch, Rfc8032VectorsAllAccepted) {
     const Ed25519Seed seed = batch_seed_from_hex(v.seed);
     sm.public_key = ed25519_public_key(seed);
     sm.message = from_hex(v.msg);
-    sm.signature = ed25519_sign(seed, sm.message);
+    sm.signature = ed25519_sign(ed25519_expand_key(seed), sm.message);
     batch.push_back(std::move(sm));
   }
   expect_matches_single(batch, nullptr);
@@ -456,21 +480,221 @@ TEST(Ed25519Batch, SingleItemBatch) {
   expect_matches_single(batch, nullptr);
 }
 
+// R encodings that name no point, or name one non-canonically. Batch
+// verification rejects them when decoding R; single verification rejects
+// them because they never equal the canonical encoding of s·B − k·A.
+enum class BadR { kYAtLeastP, kZeroXNegative, kNonSquare };
+
+void set_malformed_r(Ed25519Signature& sig, BadR kind, std::uint8_t variant) {
+  std::array<std::uint8_t, 32> r{};
+  switch (kind) {
+    case BadR::kYAtLeastP:
+      // y = p + t for t in [0, 18]: p = 2^255 - 19 is ed ff .. ff 7f.
+      r.fill(0xff);
+      r[0] = static_cast<std::uint8_t>(0xed + variant % 19);
+      r[31] = (variant & 0x20) ? 0xff : 0x7f;  // either sign bit
+      break;
+    case BadR::kZeroXNegative:
+      // The two points with x = 0, y = 1 and y = p - 1 = -1, with the sign
+      // bit set (only sign 0 is canonical for x = 0).
+      if (variant & 1) {
+        r.fill(0xff);
+        r[0] = 0xec;
+      } else {
+        r[0] = 0x01;
+        r[31] = 0x80;
+      }
+      break;
+    case BadR::kNonSquare:
+      // y = 2: (y^2 - 1) / (d·y^2 + 1) is not a square mod p.
+      r[0] = 0x02;
+      r[31] = (variant & 1) ? 0x80 : 0x00;
+      break;
+  }
+  std::copy(r.begin(), r.end(), sig.begin());
+}
+
 TEST(Ed25519Batch, RandomSweepMatchesSingleVerify) {
-  // Random batches with random tampering: every verdict must match the
-  // single-signature verifier exactly.
+  // Random batches with random tampering, including malformed R values:
+  // every verdict must match the single-signature verifier exactly, and a
+  // malformed R is always rejected (as the R-decoding verifier did).
   DeterministicRandom rng(0x57ab1e);
+  int malformed[3] = {0, 0, 0};
   for (int round = 0; round < 10; ++round) {
     auto batch = make_signed(rng, 1 + (static_cast<std::size_t>(round) * 7) % 33);
-    for (auto& sm : batch) {
-      const Bytes coin = rng.bytes(1);
+    std::vector<bool> bad_r(batch.size(), false);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      auto& sm = batch[i];
+      const Bytes coin = rng.bytes(2);
       if (coin[0] < 64) {
         sm.signature[coin[0] % 64] ^= 1;
       } else if (coin[0] < 96) {
         sm.message.push_back(0x5a);
+      } else if (coin[0] < 144) {
+        const int kind = (coin[0] - 96) / 16;
+        set_malformed_r(sm.signature, static_cast<BadR>(kind), coin[1]);
+        bad_r[i] = true;
+        ++malformed[kind];
       }
     }
     expect_matches_single(batch, round % 2 ? &rng : nullptr);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!bad_r[i]) continue;
+      EXPECT_FALSE(ed25519_verify(batch[i].public_key, batch[i].message,
+                                  ByteView(batch[i].signature.data(), 64)))
+          << "round " << round << " index " << i;
+    }
+  }
+  for (const int count : malformed) EXPECT_GE(count, 3);
+}
+
+}  // namespace
+}  // namespace vnfsgx::crypto
+
+// ---------------------------------------------------------------------------
+// GF(2^255 - 19) kernels: the inlined squaring against the multiply, the
+// documented limb bound under chained add/sub, and the shift-packing
+// fe_to_bytes against the bit-loop packing it replaced.
+// ---------------------------------------------------------------------------
+namespace vnfsgx::crypto {
+namespace {
+
+constexpr std::uint64_t kM51 = (1ULL << 51) - 1;
+
+std::uint64_t random_u64(DeterministicRandom& rng) {
+  std::uint64_t v = 0;
+  for (const std::uint8_t b : rng.bytes(8)) v = (v << 8) | b;
+  return v;
+}
+
+Fe random_fe(DeterministicRandom& rng, std::uint64_t limb_bound) {
+  Fe a;
+  for (auto& limb : a.v) limb = random_u64(rng) % limb_bound;
+  return a;
+}
+
+bool loosely_reduced(const Fe& a) {
+  for (const std::uint64_t limb : a.v) {
+    if (limb >= kFeLimbBound) return false;
+  }
+  return true;
+}
+
+// The previous fe_to_bytes: carry passes, a conditional subtraction of p,
+// then a 255-step bit loop.
+std::array<std::uint8_t, 32> reference_to_bytes(const Fe& a) {
+  std::uint64_t l[5] = {a.v[0], a.v[1], a.v[2], a.v[3], a.v[4]};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int i = 0; i < 4; ++i) {
+      l[i + 1] += l[i] >> 51;
+      l[i] &= kM51;
+    }
+    l[0] += 19 * (l[4] >> 51);
+    l[4] &= kM51;
+  }
+  std::uint64_t s[5];
+  std::uint64_t carry = 19;
+  for (int i = 0; i < 5; ++i) {
+    s[i] = l[i] + carry;
+    carry = s[i] >> 51;
+    s[i] &= kM51;
+  }
+  const std::uint64_t mask = 0 - carry;  // carry out of bit 255: t >= p
+  for (int i = 0; i < 5; ++i) l[i] = (l[i] & ~mask) | (s[i] & mask);
+  std::array<std::uint8_t, 32> out{};
+  int bitpos = 0;
+  for (int i = 0; i < 5; ++i) {
+    for (int bit = 0; bit < 51; ++bit, ++bitpos) {
+      if ((l[i] >> bit) & 1) {
+        out[static_cast<std::size_t>(bitpos >> 3)] |=
+            static_cast<std::uint8_t>(1u << (bitpos & 7));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Field25519, SquareMatchesMultiply) {
+  const std::uint64_t top = kFeLimbBound - 1;
+  std::vector<Fe> inputs = {fe_zero(), fe_one(),
+                            Fe{{top, top, top, top, top}},
+                            Fe{{kM51 - 19, kM51, kM51, kM51, kM51}}};
+  DeterministicRandom rng(0xf1e1d);
+  for (int i = 0; i < 1000; ++i) inputs.push_back(random_fe(rng, kFeLimbBound));
+  for (const Fe& a : inputs) {
+    const Fe sq = fe_sq(a);
+    EXPECT_EQ(fe_to_bytes(sq), fe_to_bytes(fe_mul(a, a)));
+    EXPECT_TRUE(loosely_reduced(sq));
+  }
+}
+
+TEST(Field25519, ChainedAddSubStaysWithinBound) {
+  DeterministicRandom rng(0xadd5);
+  std::vector<Fe> operands;
+  for (int i = 0; i < 64; ++i) operands.push_back(random_fe(rng, kFeLimbBound));
+  operands.push_back(Fe{{kFeLimbBound - 1, kFeLimbBound - 1, kFeLimbBound - 1,
+                         kFeLimbBound - 1, kFeLimbBound - 1}});
+  const Fe start = random_fe(rng, kFeLimbBound);
+  Fe x = start;
+  std::vector<std::pair<bool, std::size_t>> ops;
+  for (int i = 0; i < 5000; ++i) {
+    const Bytes coin = rng.bytes(2);
+    const bool add = coin[0] & 1;
+    const std::size_t k = coin[1] % operands.size();
+    x = add ? fe_add(x, operands[k]) : fe_sub(x, operands[k]);
+    ASSERT_TRUE(loosely_reduced(x)) << "step " << i;
+    ops.emplace_back(add, k);
+  }
+  const Fe neg = fe_neg(x);
+  EXPECT_TRUE(loosely_reduced(neg));
+  EXPECT_TRUE(fe_is_zero(fe_add(x, neg)));
+  // Undo every step: the chain must land back on the starting value.
+  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+    x = it->first ? fe_sub(x, operands[it->second])
+                  : fe_add(x, operands[it->second]);
+    ASSERT_TRUE(loosely_reduced(x));
+  }
+  EXPECT_EQ(fe_to_bytes(x), fe_to_bytes(start));
+}
+
+TEST(Field25519, ToBytesMatchesBitLoopReference) {
+  const std::uint64_t two_m = (1ULL << 52) - 2;
+  const std::uint64_t top63 = (1ULL << 63) - 1;
+  struct Case {
+    const char* name;
+    Fe value;
+    const char* expected_hex;
+  };
+  const Case cases[] = {
+      {"p-1", Fe{{kM51 - 19, kM51, kM51, kM51, kM51}},
+       "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"},
+      {"p", Fe{{kM51 - 18, kM51, kM51, kM51, kM51}},
+       "0000000000000000000000000000000000000000000000000000000000000000"},
+      {"p+1", Fe{{kM51 - 17, kM51, kM51, kM51, kM51}},
+       "0100000000000000000000000000000000000000000000000000000000000000"},
+      {"2p-1", Fe{{two_m - 37, two_m, two_m, two_m, two_m}},
+       "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"},
+      {"2^255-1", Fe{{kM51, kM51, kM51, kM51, kM51}},
+       "1200000000000000000000000000000000000000000000000000000000000000"},
+      // The documented input ceiling: every limb just under 2^63.
+      {"limbs 2^63-1", Fe{{top63, top63, top63, top63, top63}},
+       "ff2f01000000f87f00000000c0ff0300000000fe1f00000000f0ff0000000000"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(to_hex(fe_to_bytes(c.value)), c.expected_hex) << c.name;
+    EXPECT_EQ(fe_to_bytes(c.value), reference_to_bytes(c.value)) << c.name;
+  }
+  DeterministicRandom rng(0xb17e);
+  for (int i = 0; i < 2000; ++i) {
+    const Fe a = random_fe(rng, i % 2 ? kFeLimbBound : (1ULL << 52));
+    ASSERT_EQ(fe_to_bytes(a), reference_to_bytes(a)) << "iteration " << i;
+  }
+  // Round trip through the encoding for canonical inputs.
+  for (int i = 0; i < 200; ++i) {
+    std::array<std::uint8_t, 32> bytes;
+    rng.fill(bytes);
+    bytes[31] &= 0x3f;  // < 2^254 < p
+    EXPECT_EQ(fe_to_bytes(fe_from_bytes(bytes)), bytes);
   }
 }
 

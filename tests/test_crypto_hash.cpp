@@ -199,6 +199,92 @@ TEST(SystemRandom, ProducesDistinctBlocks) {
   EXPECT_NE(rng.bytes(32), rng.bytes(32));
 }
 
+// Padding boundaries: where the 0x80 byte and the length field fit in the
+// last block and where they spill into an extra one. Digests are from an
+// independent implementation (Python hashlib) over bytes i*31+7.
+Bytes pattern_message(std::size_t n) {
+  Bytes msg(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return msg;
+}
+
+TEST(Sha256, PaddingBoundaries) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+      {120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+  };
+  for (const auto& [len, hex] : cases) {
+    const Bytes msg = pattern_message(len);
+    EXPECT_EQ(to_hex(sha256(msg)), hex) << "length " << len;
+    const auto portable = detail::sha256_portable(msg);
+    EXPECT_EQ(to_hex(ByteView(portable.data(), portable.size())), hex)
+        << "length " << len;
+  }
+}
+
+TEST(Sha512, PaddingBoundaries) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {111,
+       "da780d8338a8a920ceb6892cb4ecbb0cc0c66956269aadd5dd0f48790a00857b"
+       "d975890f3b2955a317738cc7a770820c29f922ffbc22020f1909d594cc987d1b"},
+      {112,
+       "053182f7fa4e59f8636e415a77ed4fdc650f0a43834c9d35adf899599c3ab9c4"
+       "153f02ff50bd01888060cd36a6fa12d9db242fc35164c80135613514186d5843"},
+      {127,
+       "a7a75593826fd37d4e60f6101eabb9f8ab1cf4d5319ebc805266d5da8deb5097"
+       "de1a235fc5d9d3d73c50ac100ffc75089fb454674ab61232091bd19cbdc67396"},
+      {128,
+       "df007a08f3aaae47e0c92ef840ecd43645ae6098c819f2a4a66174ef1cd49e5c"
+       "6dfccf0616895e570b7564af641de5863dff9f89c752913d30cf0ecf678e1635"},
+  };
+  for (const auto& [len, hex] : cases) {
+    EXPECT_EQ(to_hex(sha512(pattern_message(len))), hex) << "length " << len;
+  }
+}
+
+// The SHA-NI and portable compression functions must agree on every
+// message length across the one- and two-block padding cases, on unaligned
+// multi-block inputs, and on a multi-MiB message.
+TEST(Sha256, HardwareMatchesPortable) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU has no SHA-NI";
+  DeterministicRandom rng(0x5a4);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = rng.bytes(len);
+    const auto hw = detail::sha256_hw(msg);
+    ASSERT_EQ(hw, detail::sha256_portable(msg)) << "length " << len;
+    ASSERT_EQ(hw, Sha256::hash(msg)) << "length " << len;
+  }
+  const Bytes big = rng.bytes((3 << 20) + 17);
+  EXPECT_EQ(detail::sha256_hw(big), detail::sha256_portable(big));
+  // Offset by one byte: the block loads are unaligned.
+  const ByteView shifted(big.data() + 1, big.size() - 1);
+  EXPECT_EQ(detail::sha256_hw(shifted), detail::sha256_portable(shifted));
+}
+
+TEST(Sha256, Fips180VectorsOnBothPaths) {
+  const std::pair<const char*, const char*> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  for (const auto& [msg, hex] : vectors) {
+    const auto portable = detail::sha256_portable(to_bytes(msg));
+    EXPECT_EQ(to_hex(ByteView(portable.data(), portable.size())), hex);
+    if (sha256_hw_available()) {
+      const auto hw = detail::sha256_hw(to_bytes(msg));
+      EXPECT_EQ(to_hex(ByteView(hw.data(), hw.size())), hex);
+    }
+  }
+}
+
 // Property sweep: incremental SHA-256 equals one-shot for many sizes.
 class Sha256SizeSweep : public ::testing::TestWithParam<std::size_t> {};
 

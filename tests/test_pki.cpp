@@ -243,7 +243,8 @@ TEST_F(PkiFixture, UnknownExtensionRoundTripsAndValidates) {
   root.public_key = root_kp.public_key;
   root.is_ca = true;
   root.key_usage = static_cast<std::uint8_t>(KeyUsage::kCertSign);
-  root.signature = crypto::ed25519_sign(root_kp.seed, root.tbs());
+  const auto root_key = crypto::ed25519_expand_key(root_kp.seed);
+  root.signature = crypto::ed25519_sign(root_key, root.tbs());
 
   const auto leaf_kp = crypto::ed25519_generate(rng_);
   Certificate leaf;
@@ -256,7 +257,7 @@ TEST_F(PkiFixture, UnknownExtensionRoundTripsAndValidates) {
   leaf.key_usage = static_cast<std::uint8_t>(KeyUsage::kClientAuth);
   leaf.extensions.push_back({0x46555455, Bytes{0x01, 0x02, 0x03}});  // "FUTU"
   leaf.extensions.push_back({0x58595a30, rng_.bytes(16)});           // "XYZ0"
-  leaf.signature = crypto::ed25519_sign(root_kp.seed, leaf.tbs());
+  leaf.signature = crypto::ed25519_sign(root_key, leaf.tbs());
 
   // Parse -> re-encode is byte-identical, order and raw bytes preserved.
   const Bytes wire = leaf.encode();
@@ -414,7 +415,8 @@ TEST_F(ChainFixture, NonCaIntermediateRejected) {
   leaf.not_after = clock_.now() + 3600;
   leaf.public_key = leaf_key.public_key;
   leaf.key_usage = static_cast<std::uint8_t>(KeyUsage::kClientAuth);
-  leaf.signature = crypto::ed25519_sign(key.seed, leaf.tbs());
+  leaf.signature =
+      crypto::ed25519_sign(crypto::ed25519_expand_key(key.seed), leaf.tbs());
 
   TrustStore store;
   store.add_root(ca_.root_certificate());

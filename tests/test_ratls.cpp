@@ -442,8 +442,8 @@ class RatlsNegativeFixture : public RatlsFixture {
     e.quote.body.isv_prod_id = 1;
     e.quote.body.isv_svn = 1;
     e.quote.body.report_data = report_data_for_key(bound_key);
-    e.quote.signature =
-        crypto::ed25519_sign(attestation_.seed, e.quote.encode_tbs());
+    e.quote.signature = crypto::ed25519_sign(
+        crypto::ed25519_expand_key(attestation_.seed), e.quote.encode_tbs());
     e.vendor_key = vendor_.public_key;
     e.isv_prod_id = 1;
     e.isv_svn = 1;
@@ -463,7 +463,9 @@ class RatlsNegativeFixture : public RatlsFixture {
     spec.not_after = clock_.now() + 3600;
     const auto cert = make_certificate(
         spec, kp.public_key, make_evidence(kp.public_key),
-        [&kp](ByteView data) { return crypto::ed25519_sign(kp.seed, data); });
+        [key = crypto::ed25519_expand_key(kp.seed)](ByteView data) {
+          return crypto::ed25519_sign(key, data);
+        });
     return {cert, kp.seed};
   }
 
@@ -554,8 +556,8 @@ TEST_F(RatlsNegativeFixture, DisallowedMeasurementRejected) {
     // everything except the measurement policy passes.
     Evidence e = evidence_for(key);
     e.quote.body.mr_enclave.fill(0x77);
-    e.quote.signature =
-        crypto::ed25519_sign(attestation_.seed, e.quote.encode_tbs());
+    e.quote.signature = crypto::ed25519_sign(
+        crypto::ed25519_expand_key(attestation_.seed), e.quote.encode_tbs());
     return e;
   });
   expect_server_security_violation(crafted_client_config(id), server_cfg);

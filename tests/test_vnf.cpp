@@ -71,6 +71,10 @@ TEST_F(VnfFixture, SignRequiresKey) {
   Vnf vnf = make_vnf("vnf-1");
   EXPECT_THROW(vnf.credentials().sign(to_bytes("x")), Error);
   EXPECT_THROW(vnf.credentials().certificate(), Error);
+  const std::array<std::uint8_t, 32> nonce{};
+  EXPECT_THROW(vnf.credentials().create_report(
+                   nonce, host_.sgx().quoting_enclave().target_info()),
+               Error);
 }
 
 TEST_F(VnfFixture, CertificateMustMatchEnclaveKey) {

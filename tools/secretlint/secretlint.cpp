@@ -73,8 +73,8 @@ const std::set<std::string> kPrivateHeaders = {
 const std::set<std::string> kBoundaryHeaders = {"src/vnf/ocall.h",
                                                 "src/core/protocol.h"};
 const std::vector<std::string> kSecretTypeTokens = {
-    "Ed25519Seed", "Ed25519KeyPair", "X25519KeyPair", "KeySchedule",
-    "TrafficKeys", "Zeroizing",      "SecureBytes"};
+    "Ed25519Seed", "Ed25519KeyPair", "Ed25519SigningKey", "X25519KeyPair",
+    "KeySchedule", "TrafficKeys",    "Zeroizing",         "SecureBytes"};
 
 // R2: identifiers that denote owned secret material.
 const std::regex kSecretIdent("(secret|seed|private_key|round_keys|ikm)",
