@@ -16,12 +16,13 @@
 
 #include <thread>
 
-#include "testbed.h"
+#include "testbed/testbed.h"
+#include "vnf/credential_client.h"
+#include "vnf/credential_enclave.h"
 
 namespace {
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
 
 /// Echo server speaking mutual TLS.
 std::thread start_echo_server(net::StreamPtr transport, tls::Config config) {
@@ -44,20 +45,19 @@ std::thread start_echo_server(net::StreamPtr transport, tls::Config config) {
   });
 }
 
+/// The echo server's identity, issued and anchored by the testbed VM's CA.
 struct Endpoints {
-  crypto::DeterministicRandom rng{23};
-  SimClock clock{1'700'000'000};
-  pki::CertificateAuthority ca{{"vm-ca", ""}, rng, clock};
+  testbed::Testbed bed;
   pki::TrustStore trust;
   pki::Certificate server_cert;
   crypto::Ed25519Seed server_seed;
 
   Endpoints() {
-    trust.add_root(ca.root_certificate());
-    const auto kp = crypto::ed25519_generate(rng);
-    server_cert = ca.issue({"controller", ""}, kp.public_key,
-                           static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth),
-                           365 * 24 * 3600);
+    trust.add_root(bed.vm.ca_certificate());
+    const auto kp = crypto::ed25519_generate(bed.rng);
+    server_cert = bed.vm.ca().issue(
+        {"controller", ""}, kp.public_key,
+        static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth), 365 * 24 * 3600);
     server_seed = kp.seed;
   }
 
@@ -67,14 +67,15 @@ struct Endpoints {
     c.signer = tls::Config::software_signer(server_seed);
     c.require_client_certificate = true;
     c.truststore = &trust;
-    c.clock = &clock;
-    c.rng = &rng;
+    c.clock = &bed.clock;
+    c.rng = &bed.rng;
     return c;
   }
 };
 
-/// Build a credential enclave on a platform with the given crossing cost,
-/// provisioned with a certificate from `ep`'s CA.
+/// Build a credential enclave on a platform with the given crossing cost
+/// (the sweep variable, so not a testbed host), provisioned with a
+/// certificate from the testbed VM's CA.
 struct EnclaveClient {
   std::unique_ptr<sgx::SgxPlatform> platform;
   std::shared_ptr<sgx::Enclave> enclave;
@@ -84,15 +85,15 @@ struct EnclaveClient {
   EnclaveClient(Endpoints& ep, std::chrono::nanoseconds crossing_cost) {
     sgx::PlatformOptions options;
     options.crossing_cost = crossing_cost;
-    platform = std::make_unique<sgx::SgxPlatform>(ep.rng, "bench", options);
-    const auto vendor = crypto::ed25519_generate(ep.rng);
+    platform = std::make_unique<sgx::SgxPlatform>(ep.bed.rng, "bench", options);
     const sgx::EnclaveImage image = vnf::credential_enclave_image();
     const sgx::SigStruct sig = sgx::sign_enclave(
-        vendor.seed, sgx::measure_image(image.code, image.attributes), 10, 1);
+        ep.bed.vendor.seed, sgx::measure_image(image.code, image.attributes),
+        10, 1);
     enclave = platform->load_enclave(image, sig);
     client = std::make_unique<vnf::CredentialClient>(enclave);
     public_key = client->generate_key();
-    client->install_certificate(ep.ca.issue(
+    client->install_certificate(ep.bed.vm.ca().issue(
         {"vnf-1", ""}, public_key,
         static_cast<std::uint8_t>(pki::KeyUsage::kClientAuth), 365 * 24 * 3600));
   }
@@ -113,8 +114,8 @@ void run_echo(benchmark::State& state, Endpoints& ep, bool in_enclave,
 
   if (in_enclave) {
     // Whole TLS context inside the enclave; I/O via the OCALL bridge.
-    ec.client->tls_open(std::move(client_end), ep.clock.now(), "controller",
-                        ep.ca.root_certificate());
+    ec.client->tls_open(std::move(client_end), ep.bed.clock.now(),
+                        "controller", ep.bed.vm.ca_certificate());
     crossings_before = ec.platform->total_crossings();
     for (auto _ : state) {
       Bytes message;
@@ -135,8 +136,8 @@ void run_echo(benchmark::State& state, Endpoints& ep, bool in_enclave,
     cfg.signer = [&ec](ByteView data) { return ec.client->sign(data); };
     cfg.truststore = &ep.trust;
     cfg.expected_server_name = "controller";
-    cfg.clock = &ep.clock;
-    cfg.rng = &ep.rng;
+    cfg.clock = &ep.bed.clock;
+    cfg.rng = &ep.bed.rng;
     auto session = tls::Session::connect(std::move(client_end), cfg);
     crossings_before = ec.platform->total_crossings();
     for (auto _ : state) {

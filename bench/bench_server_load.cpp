@@ -1,21 +1,15 @@
-// SERVER-LOAD: the PR-4 scalability experiment. A controller in trusted
-// HTTPS mode (§3's strongest REST mode) serves a fleet of keep-alive TLS
-// connections — most of them idle — while a smaller set of active clients
-// drives a closed-loop request storm. Two server models run the identical
-// workload over the in-memory transport (zero kernel noise, so the series
-// isolates the server's own dispatch machinery):
+// SERVER-LOAD: a controller in trusted HTTPS mode (§3's strongest REST
+// mode) serves a fleet of keep-alive TLS connections — most of them idle —
+// while a smaller set of active clients drives a closed-loop request storm.
+// The workload runs over the in-memory transport (zero kernel noise, so the
+// series isolates the server's own dispatch machinery): idle connections
+// park in the ServerRuntime's readiness source for free, and every burst
+// runs on a bounded worker pool (max(2, 2x hardware_concurrency)).
 //
-//   * threaded — the seed model: one blocking thread per accepted
-//     connection, so 512 idle + 64 active conns pin ~576 server threads.
-//   * pooled   — the ServerRuntime: idle connections park in the readiness
-//     source for free; every burst runs on a bounded worker pool
-//     (max(2, 2x hardware_concurrency)).
-//
-// Counters per series: requests/s (items_per_second), server_threads,
-// process_threads (from /proc/self/status), workers, idle/active conns.
-// The obs registry snapshot (metrics_exit) additionally captures the
-// runtime's queue-depth / queue-wait / burst-duration series for
-// BENCH_pr4.json.
+// Counters: requests/s (items_per_second), server_threads (the pool),
+// process_threads (from /proc/self/status), idle/active conns. The obs
+// registry snapshot (metrics_exit) additionally captures the runtime's
+// queue-depth / queue-wait / burst-duration series for BENCH_smoke.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -76,19 +70,12 @@ constexpr int kActiveConnections = kClientThreads * kConnsPerClient;
 constexpr auto kWindow = std::chrono::milliseconds(200);
 constexpr const char* kPath = "/wm/core/controller/summary/json";
 
-enum class Model { kThreadPerConnection, kPooled };
-
-const char* to_string(Model model) {
-  return model == Model::kPooled ? "pooled" : "threaded";
-}
-
 /// DeterministicRandom is not thread-safe; concurrent TLS handshakes on
 /// both ends share a crypto::LockedRandom view of it.
 using crypto::LockedRandom;
 
-/// Total threads in this process, from /proc/self/status. Counts client
-/// threads too, but those are identical across models, so the delta
-/// between series is the server-side thread bill.
+/// Total threads in this process, from /proc/self/status (client threads
+/// included).
 std::size_t process_threads() {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -118,9 +105,8 @@ struct LoadBed {
   std::unique_ptr<Controller> controller;
   pki::Certificate client_cert;
   crypto::Ed25519Seed client_seed{};
-  Model model;
 
-  explicit LoadBed(Model m) : model(m) {
+  LoadBed() {
     set_log_level(LogLevel::kOff);
     fabric.add_switch(1);
     truststore.add_root(ca.root_certificate());
@@ -142,14 +128,8 @@ struct LoadBed {
     controller = std::make_unique<Controller>(std::move(config), fabric);
     controller->trust_ca(ca.root_certificate());
 
-    if (model == Model::kPooled) {
-      runtime.listen_inmemory(net, "controller:8443",
-                              controller->driver_factory());
-    } else {
-      net.serve("controller:8443", [this](net::StreamPtr stream) {
-        controller->serve(std::move(stream));
-      });
-    }
+    runtime.listen_inmemory(net, "controller:8443",
+                            controller->driver_factory());
   }
 
   net::StreamPtr connect_stream() {
@@ -164,22 +144,13 @@ struct LoadBed {
   }
 
   http::Client connect() { return http::Client(connect_stream()); }
-
-  std::size_t server_threads() {
-    return model == Model::kPooled ? runtime.worker_count()
-                                   : net.live_connection_threads();
-  }
 };
 
 void BM_ServerLoad(benchmark::State& state) {
-  const Model model =
-      state.range(0) == 0 ? Model::kThreadPerConnection : Model::kPooled;
-  LoadBed bed(model);
+  LoadBed bed;
 
   // Fleet of keep-alive connections: handshake + one request each, then
-  // idle. In the threaded model each one keeps a dedicated server thread
-  // blocked in read(); in the pooled model they park in the readiness
-  // source and cost nothing.
+  // idle: they park in the readiness source and cost no thread.
   std::vector<http::Client> idle;
   idle.reserve(kIdleConnections);
   for (int i = 0; i < kIdleConnections; ++i) {
@@ -194,9 +165,8 @@ void BM_ServerLoad(benchmark::State& state) {
   // connections and drives them as a pipelined batch — write a request on
   // every connection, then collect every response. That keeps
   // kActiveConnections requests outstanding (the keep-alive connection-pool
-  // shape real REST clients use): the pooled model's workers find the queue
-  // non-empty and never sleep, while the threaded model has all 64
-  // per-connection server threads runnable and contending.
+  // shape real REST clients use), so the workers find the queue non-empty
+  // and never sleep.
   struct Pipelined {
     net::StreamPtr stream;
     http::Connection conn;
@@ -273,43 +243,34 @@ void BM_ServerLoad(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   for (auto& thread : clients) thread.join();
 
+  const std::size_t server_threads = bed.runtime.worker_count();
   state.SetItemsProcessed(static_cast<std::int64_t>(total));
-  state.SetLabel(to_string(model));
   state.counters["idle_conns"] = kIdleConnections;
   state.counters["active_conns"] = kActiveConnections;
-  state.counters["server_threads"] = static_cast<double>(bed.server_threads());
+  state.counters["server_threads"] = static_cast<double>(server_threads);
   state.counters["process_threads"] = static_cast<double>(steady_threads);
   state.counters["errors"] = static_cast<double>(errors.load());
-  if (model == Model::kPooled) {
-    state.counters["workers"] = static_cast<double>(bed.runtime.worker_count());
-    state.counters["active_parked"] =
-        static_cast<double>(bed.runtime.active_connections());
-  }
+  state.counters["active_parked"] =
+      static_cast<double>(bed.runtime.active_connections());
 
   // Mirror the headline numbers into the obs registry so the atexit
-  // snapshot lands them in BENCH_pr4.json.
+  // snapshot lands them in BENCH_smoke.json.
   obs::registry()
-      .gauge("vnfsgx_bench_server_load_threads", {{"model", to_string(model)}},
-             "Server-side threads at steady state, by server model")
-      .set(static_cast<double>(bed.server_threads()));
+      .gauge("vnfsgx_bench_server_load_threads", {},
+             "Server-side threads (pool workers) at steady state")
+      .set(static_cast<double>(server_threads));
   obs::registry()
-      .gauge("vnfsgx_bench_server_load_requests",
-             {{"model", to_string(model)}},
-             "Closed-loop requests completed, by server model")
+      .gauge("vnfsgx_bench_server_load_requests", {},
+             "Closed-loop requests completed")
       .set(static_cast<double>(total));
 
-  // Teardown: close every client end so threaded-model handlers observe
-  // EOF and exit before the bed (runtime, network) is destroyed.
   for (auto& pool : active) {
     for (auto& p : pool) p->stream->close();
   }
   for (auto& conn : idle) conn.close();
   bed.runtime.shutdown();
-  bed.net.join_all();
 }
 BENCHMARK(BM_ServerLoad)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime();
 
@@ -535,7 +496,6 @@ void BM_ShardedConnSweep(benchmark::State& state) {
     for (auto& conn : bucket) conn.close();
   }
   runtime.shutdown();
-  net.join_all();
 }
 // The no-park baseline runs FIRST: RSS deltas are only honest while the
 // allocator is cold (later series partly reuse freed high-water pages, so

@@ -4,10 +4,13 @@
 // credentials, and the controller locks the revoked VNF out.
 //
 // Run: build/examples/compromise_detection
-#include "testbed.h"
+#include "common/logging.h"
+#include "http/client.h"
+#include "testbed/testbed.h"
+#include "vnf/functions.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 int main() {
   set_log_level(LogLevel::kWarn);
@@ -37,7 +40,7 @@ int main() {
 
   // The VNF can reach the controller.
   {
-    auto transport = bed.net.connect("controller:8443");
+    auto transport = bed.net.connect(kControllerAddress);
     monitor.credentials().tls_open(std::move(transport), bed.clock.now(), "controller",
                                    bed.vm.ca_certificate());
     vnf::EnclaveTlsStream tunnel(monitor.credentials());
@@ -76,12 +79,12 @@ int main() {
       bed.vm.revoke_platform(host.machine->sgx().platform_id());
   step("CRL now lists " + std::to_string(crl.revoked_serials.size()) +
        " serial(s)");
-  bed.controller_->update_crl(crl);
+  bed.controller->update_crl(crl);
   step("CRL pushed to the controller");
 
   // The revoked VNF is locked out.
   banner("Phase 5: revoked VNF can no longer enroll sessions");
-  auto transport = bed.net.connect("controller:8443");
+  auto transport = bed.net.connect(kControllerAddress);
   bool locked_out = false;
   try {
     // TLS-1.3 semantics: the server's certificate rejection can surface at

@@ -2,10 +2,13 @@
 // restart, certificate expiry, and re-enrollment with a fresh certificate.
 //
 // Run: build/examples/credential_lifecycle
-#include "testbed.h"
+#include "common/logging.h"
+#include "http/client.h"
+#include "testbed/testbed.h"
+#include "vnf/functions.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 int main() {
   set_log_level(LogLevel::kWarn);
@@ -59,7 +62,7 @@ int main() {
   banner("Phase 3: certificate expiry");
   bed.clock.advance(25 * 3600);  // past 24h validity
   step("clock advanced 25h; certificate now expired");
-  auto transport = bed.net.connect("controller:8443");
+  auto transport = bed.net.connect(kControllerAddress);
   try {
     restored.tls_open(std::move(transport), bed.clock.now(), "controller",
                       bed.vm.ca_certificate());
@@ -82,7 +85,7 @@ int main() {
   const auto fresh_cert = bed.vm.enroll_vnf(*ch2, "vnf-1", "vnf-1");
   step("fresh certificate serial " + std::to_string(fresh_cert->serial));
 
-  auto transport2 = bed.net.connect("controller:8443");
+  auto transport2 = bed.net.connect(kControllerAddress);
   vnf->credentials().tls_open(std::move(transport2), bed.clock.now(), "controller",
                               bed.vm.ca_certificate());
   step("controller accepts the renewed credential");
@@ -90,8 +93,8 @@ int main() {
 
   // Targeted revocation.
   banner("Phase 5: targeted revocation of one credential");
-  bed.controller_->update_crl(bed.vm.revoke_certificate(fresh_cert->serial));
-  auto transport3 = bed.net.connect("controller:8443");
+  bed.controller->update_crl(bed.vm.revoke_certificate(fresh_cert->serial));
+  auto transport3 = bed.net.connect(kControllerAddress);
   try {
     vnf->credentials().tls_open(std::move(transport3), bed.clock.now(),
                                 "controller", bed.vm.ca_certificate());
@@ -110,7 +113,7 @@ int main() {
   // scrapeable from the VM's REST API in Prometheus text format.
   banner("Phase 6: observability scrape");
   bed.serve_vm_api();
-  http::Client scrape(bed.net.connect("vm:8080"));
+  http::Client scrape(bed.net.connect(kVmAddress));
   const auto metrics = scrape.get("/vm/metrics");
   scrape.close();
   step("GET /vm/metrics: HTTP " + std::to_string(metrics.status) + ", " +

@@ -6,10 +6,13 @@
 //   4. the VNF talks to the controller over in-enclave TLS (step 6).
 //
 // Run: build/examples/quickstart
-#include "testbed.h"
+#include "common/logging.h"
+#include "http/client.h"
+#include "testbed/testbed.h"
+#include "vnf/functions.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 int main() {
   set_log_level(LogLevel::kWarn);
@@ -65,7 +68,7 @@ int main() {
 
   // --- Step 6: VNF -> controller over in-enclave TLS ----------------------
   banner("Step 6: VNF talks to the controller from inside the enclave");
-  auto transport = bed.net.connect("controller:8443");
+  auto transport = bed.net.connect(kControllerAddress);
   firewall.credentials().tls_open(std::move(transport), bed.clock.now(), "controller",
                                   bed.vm.ca_certificate());
   step("mutually-authenticated TLS session established (keys in-enclave)");
@@ -95,7 +98,7 @@ int main() {
             ? "DROPPED (flow installed by the attested VNF)"
             : "not dropped?!"));
 
-  const auto log = bed.controller_->audit_log();
+  const auto log = bed.controller->audit_log();
   step("controller audit: " + log.back().method + " " + log.back().path +
        " by authenticated client '" + log.back().identity + "'");
 

@@ -4,10 +4,13 @@
 // inside its enclave, and traffic is then run through the fabric.
 //
 // Run: build/examples/sdn_deployment
-#include "testbed.h"
+#include "common/logging.h"
+#include "http/client.h"
+#include "testbed/testbed.h"
+#include "vnf/functions.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 namespace {
 
@@ -25,7 +28,7 @@ std::uint64_t enroll(Testbed& bed, SimHost& host, vnf::Vnf& v) {
 
 /// Push the VNF's desired flows through its in-enclave TLS session.
 void push_flows(Testbed& bed, vnf::Vnf& v, std::uint64_t dpid) {
-  auto transport = bed.net.connect("controller:8443");
+  auto transport = bed.net.connect(kControllerAddress);
   v.credentials().tls_open(std::move(transport), bed.clock.now(), "controller",
                            bed.vm.ca_certificate());
   vnf::EnclaveTlsStream tunnel(v.credentials());
@@ -153,10 +156,10 @@ int main() {
   // Controller-side view.
   banner("Controller state");
   std::printf("  requests served: %llu, rejected connections: %llu\n",
-              static_cast<unsigned long long>(bed.controller_->requests_served()),
+              static_cast<unsigned long long>(bed.controller->requests_served()),
               static_cast<unsigned long long>(
-                  bed.controller_->rejected_connections()));
-  for (const auto& record : bed.controller_->audit_log()) {
+                  bed.controller->rejected_connections()));
+  for (const auto& record : bed.controller->audit_log()) {
     std::printf("  audit: %-6s %-32s by '%s' -> %d\n", record.method.c_str(),
                 record.path.c_str(), record.identity.c_str(), record.status);
   }

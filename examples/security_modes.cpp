@@ -1,17 +1,19 @@
 // Floodlight's three REST security modes over real loopback TCP:
 // plain HTTP, HTTPS (server auth), and trusted HTTPS (mutual auth).
 // Demonstrates §3 of the paper — what each mode permits — and reports a
-// quick latency comparison (the full sweep lives in bench_rest_modes).
+// quick cold-connection latency comparison. The trusted-HTTPS control
+// plane is measured end to end by fig1bench's `control` workload.
 //
 // Run: build/examples/security_modes
 #include <chrono>
-#include <thread>
 
-#include "testbed.h"
+#include "common/logging.h"
+#include "http/client.h"
 #include "net/tcp.h"
+#include "testbed/testbed.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 namespace {
 

@@ -9,43 +9,43 @@
 // nonce, and the sanitized list's aggregate can no longer match.
 //
 // Run: build/examples/tpm_hardening
-#include "testbed.h"
+#include "common/logging.h"
+#include "testbed/testbed.h"
 
 using namespace vnfsgx;
-using namespace vnfsgx::examples;
+using namespace vnfsgx::testbed;
 
 namespace {
 
 /// A root attacker's agent: compromises dockerd, then reports a sanitized
 /// IML with the incriminating entry removed.
 void serve_rootkit_agent(Testbed& bed, SimHost& host) {
-  bed.runtime.listen_inmemory(
-      bed.net, "rootkit:7000", net::frame_driver([&host](ByteView request) {
-        const core::AttestHostRequest req =
-            core::decode_attest_host_request(request);
-        ima::MeasurementList sanitized;
-        for (const auto& e : host.machine->ima().list().entries()) {
-          if (e.file_path != "/usr/bin/dockerd") {
-            sanitized.add_measurement(e.file_digest, e.file_path);
-          }
-        }
-        const Bytes iml = sanitized.encode();
-        const auto qe = host.machine->sgx().quoting_enclave().target_info();
-        const Bytes report = host.machine->attestation_enclave()->call(
-            host::kOpCreateImlReport,
-            host::encode_iml_report_request(req.nonce, iml, qe));
-        core::AttestHostResponse response;
-        response.quote = host.machine->sgx()
-                             .quoting_enclave()
-                             .quote(sgx::Report::decode(report))
-                             .encode();
-        response.iml = iml;
-        // The attacker cannot forge the TPM; it quotes the true PCR and
-        // hopes the verifier doesn't check.
-        response.tpm_quote =
-            host.machine->tpm().quote(ima::kImaPcrIndex, req.nonce).encode();
-        return core::encode(response);
-      }));
+  bed.serve_agent("rootkit:7000", [&host](ByteView request) {
+    const core::AttestHostRequest req =
+        core::decode_attest_host_request(request);
+    ima::MeasurementList sanitized;
+    for (const auto& e : host.machine->ima().list().entries()) {
+      if (e.file_path != "/usr/bin/dockerd") {
+        sanitized.add_measurement(e.file_digest, e.file_path);
+      }
+    }
+    const Bytes iml = sanitized.encode();
+    const auto qe = host.machine->sgx().quoting_enclave().target_info();
+    const Bytes report = host.machine->attestation_enclave()->call(
+        host::kOpCreateImlReport,
+        host::encode_iml_report_request(req.nonce, iml, qe));
+    core::AttestHostResponse response;
+    response.quote = host.machine->sgx()
+                         .quoting_enclave()
+                         .quote(sgx::Report::decode(report))
+                         .encode();
+    response.iml = iml;
+    // The attacker cannot forge the TPM; it quotes the true PCR and
+    // hopes the verifier doesn't check.
+    response.tpm_quote =
+        host.machine->tpm().quote(ima::kImaPcrIndex, req.nonce).encode();
+    return core::encode(response);
+  });
 }
 
 }  // namespace

@@ -166,16 +166,6 @@ net::DriverFactory Controller::driver_factory() {
       });
 }
 
-void Controller::serve(net::StreamPtr stream) {
-  http::RequestContext ctx;
-  try {
-    auto session = wrap_session(std::move(stream), ctx);
-    http::serve_connection(*session, router_, ctx);
-  } catch (const Error&) {
-    // wrap_session already metered and logged the rejection.
-  }
-}
-
 bool Controller::authorize_write(const http::RequestContext& ctx) const {
   // In trusted-HTTPS mode write access requires an authenticated client;
   // the weaker modes accept anonymous writes — the exposure the paper's

@@ -92,11 +92,6 @@ class Controller {
   /// The controller's verifier-side trust policy (cache/flush telemetry).
   const pki::TrustStore& truststore() const { return truststore_; }
 
-  /// Serve one connection end-to-end according to the security mode.
-  /// TLS failures (bad client cert in trusted mode, etc.) terminate the
-  /// connection without serving any request.
-  void serve(net::StreamPtr stream);
-
   /// Mode-dependent session setup for the pooled server runtime: wraps a
   /// raw transport in TLS when the mode calls for it, recording the
   /// authenticated client in `ctx`. Failures are counted as rejected

@@ -1,7 +1,5 @@
 #include "core/host_agent.h"
 
-#include "common/logging.h"
-#include "net/framing.h"
 #include "obs/metrics.h"
 
 namespace vnfsgx::core {
@@ -26,23 +24,6 @@ const char* request_label(MessageType type) {
 void HostAgent::register_vnf(vnf::Vnf& vnf) {
   const std::lock_guard<std::mutex> lock(mutex_);
   vnfs_[vnf.name()] = &vnf;
-}
-
-void HostAgent::serve(net::Stream& stream) {
-  try {
-    while (true) {
-      Bytes request;
-      try {
-        request = net::read_frame(stream);
-      } catch (const IoError&) {
-        return;  // peer closed
-      }
-      net::write_frame(stream, serve_frame(request));
-    }
-  } catch (const Error& e) {
-    VNFSGX_LOG_WARN("host-agent", host_.name(), ": connection error: ",
-                    e.what());
-  }
 }
 
 Bytes HostAgent::serve_frame(ByteView request) {

@@ -8,7 +8,6 @@
 
 #include "core/protocol.h"
 #include "host/container_host.h"
-#include "net/stream.h"
 #include "vnf/vnf.h"
 
 namespace vnfsgx::core {
@@ -20,12 +19,6 @@ class HostAgent {
   /// Make a VNF's credential enclave reachable for attestation and
   /// provisioning under its name.
   void register_vnf(vnf::Vnf& vnf);
-
-  /// Serve request/response frames on one connection until EOF. The
-  /// borrowing overload suits pooled runtimes where the transport is owned
-  /// by the connection driver.
-  void serve(net::Stream& stream);
-  void serve(net::StreamPtr stream) { serve(*stream); }
 
   /// Answer one protocol frame; errors come back as an encoded
   /// ErrorMessage frame, never as an exception. This is the per-burst

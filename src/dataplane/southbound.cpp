@@ -248,10 +248,10 @@ void ControllerEndpoint::serve(net::StreamPtr channel) {
       const SbMessage msg = decode_sb(frame);
       switch (msg.type) {
         case SbType::kPacketIn:
-          packet_ins_.fetch_add(1, std::memory_order_relaxed);
           if (on_packet_in_) {
             on_packet_in_(dpid, PacketIn{msg.packet, msg.in_port});
           }
+          ++packet_ins_;
           break;
         case SbType::kEchoReply:
           break;  // liveness bookkeeping only

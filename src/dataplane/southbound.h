@@ -103,6 +103,9 @@ class ControllerEndpoint {
   bool ping(std::uint64_t dpid, std::uint64_t token);
 
   std::vector<std::uint64_t> connected_dpids() const;
+  /// Packet-ins handled so far. A packet-in is counted only after its
+  /// callback has returned, so a reader that sees a count of N also sees
+  /// every effect of the first N callbacks.
   std::uint64_t packet_ins_received() const { return packet_ins_; }
 
  private:

@@ -97,15 +97,4 @@ ServeResult serve_one(Connection& conn, const Router& router,
   return close_requested ? ServeResult::kClose : ServeResult::kKeepAlive;
 }
 
-void serve_connection(net::Stream& stream, const Router& router,
-                      const RequestContext& ctx) {
-  Connection conn(stream);
-  try {
-    while (serve_one(conn, router, ctx) == ServeResult::kKeepAlive) {
-    }
-  } catch (const TimeoutError&) {
-    // Standalone (non-runtime) serving treats a stalled peer like a close.
-  }
-}
-
 }  // namespace vnfsgx::http

@@ -1,9 +1,9 @@
-// HTTP server: router + per-connection serve loop.
+// HTTP server: router + one request/response exchange per call.
 //
-// Transport-agnostic: `serve_connection` drives any Stream (plain pipe,
-// TCP socket, or a TLS session), which is how the controller offers the
-// same REST API in all three Floodlight security modes. `serve_one` is the
-// single-burst variant the ServerRuntime worker pool runs per readiness
+// Transport-agnostic: `serve_one` drives any buffered Connection (plain
+// pipe, TCP socket, or a TLS session), which is how the controller offers
+// the same REST API in all three Floodlight security modes. The
+// ServerRuntime's HTTP driver (http/runtime.h) runs it once per readiness
 // event.
 #pragma once
 
@@ -62,12 +62,6 @@ enum class ServeResult { kKeepAlive, kClose };
 /// peer on a deadline-bearing transport) propagates so the server runtime
 /// can meter it.
 ServeResult serve_one(Connection& conn, const Router& router,
-                      const RequestContext& ctx = {});
-
-/// Serve HTTP/1.1 on one connection until the peer closes or sends
-/// "Connection: close". Exceptions from handlers map to 500 responses;
-/// parse errors produce 400 and close the connection.
-void serve_connection(net::Stream& stream, const Router& router,
                       const RequestContext& ctx = {});
 
 }  // namespace vnfsgx::http

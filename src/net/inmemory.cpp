@@ -1,7 +1,8 @@
 #include "net/inmemory.h"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
+#include <deque>
 
 #include "obs/metrics.h"
 
@@ -133,15 +134,6 @@ class PipeStream final : public Stream {
 
   bool readable() { return in_->readable(); }
 
-  /// Detached shutdown hook: closing the read side from outside makes a
-  /// blocked reader observe EOF. Holds only a weak reference, so it is
-  /// safe to invoke after both stream ends are gone.
-  std::function<void()> make_read_shutdown() {
-    return [weak = std::weak_ptr<Channel>(in_)] {
-      if (auto channel = weak.lock()) channel->close();
-    };
-  }
-
  private:
   std::shared_ptr<Channel> out_;
   std::shared_ptr<Channel> in_;
@@ -169,30 +161,18 @@ bool pipe_readable(Stream& stream) {
   return pipe != nullptr && pipe->readable();
 }
 
-InMemoryNetwork::~InMemoryNetwork() { join_all(); }
-
-void InMemoryNetwork::serve(const std::string& address, AcceptHandler handler,
-                            const LinkOptions& options, ServeMode mode) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!listeners_
-           .emplace(address, Listener{std::move(handler), options, mode})
-           .second) {
-    throw Error("inmemory: address already in use: " + address);
-  }
+void InMemoryNetwork::serve(const std::string& address, AcceptHandler handler) {
+  serve_sharded(address, {std::move(handler)});
 }
 
 void InMemoryNetwork::serve_sharded(const std::string& address,
-                                    std::vector<AcceptHandler> handlers,
-                                    const LinkOptions& options) {
+                                    std::vector<AcceptHandler> handlers) {
   if (handlers.empty()) {
     throw Error("inmemory: sharded listener needs at least one handler");
   }
-  Listener listener;
-  listener.options = options;
-  listener.mode = ServeMode::kSharded;
-  listener.shard_handlers =
-      std::make_shared<std::vector<AcceptHandler>>(std::move(handlers));
-  listener.shard_cursor = std::make_shared<std::atomic<std::size_t>>(0);
+  Listener listener{
+      std::make_shared<const std::vector<AcceptHandler>>(std::move(handlers)),
+      std::make_shared<std::atomic<std::size_t>>(0)};
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!listeners_.emplace(address, std::move(listener)).second) {
     throw Error("inmemory: address already in use: " + address);
@@ -205,101 +185,29 @@ void InMemoryNetwork::stop_serving(const std::string& address) {
 }
 
 StreamPtr InMemoryNetwork::connect(const std::string& address) {
-  AcceptHandler handler;
-  LinkOptions options;
-  ServeMode mode;
+  Listener listener;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = listeners_.find(address);
     if (it == listeners_.end()) {
       throw IoError("inmemory: connection refused: " + address);
     }
-    options = it->second.options;
-    mode = it->second.mode;
-    if (mode == ServeMode::kSharded) {
-      // In-memory SO_REUSEPORT: pick the next shard's accept handler. The
-      // kernel balances by flow hash; round-robin gives the determinism
-      // the per-shard balance tests want.
-      auto& handlers = *it->second.shard_handlers;
-      const std::size_t shard =
-          it->second.shard_cursor->fetch_add(1, std::memory_order_relaxed) %
-          handlers.size();
-      handler = handlers[shard];
-    } else {
-      handler = it->second.handler;
-    }
+    listener = it->second;
   }
   static obs::Counter& accepted = obs::registry().counter(
       "vnfsgx_net_connections_total", {{"transport", "inmemory"}},
       "Connections accepted, by transport");
-  static obs::Gauge& active = obs::registry().gauge(
-      "vnfsgx_net_active_connections", {{"transport", "inmemory"}},
-      "Connections with a live server-side handler");
-  auto [client_end, server_end] = make_pipe(options);
+  // In-memory SO_REUSEPORT: pick the next shard's accept handler. The
+  // kernel balances by flow hash; round-robin gives the determinism the
+  // per-shard balance tests want.
+  const auto& handlers = *listener.handlers;
+  const std::size_t shard =
+      listener.cursor->fetch_add(1, std::memory_order_relaxed) %
+      handlers.size();
+  auto [client_end, server_end] = make_pipe();
   accepted.add();
-  if (mode == ServeMode::kInline || mode == ServeMode::kSharded) {
-    // Pooled dispatch: the handler only registers the server end with a
-    // runtime and returns, so no thread is spawned at all. The runtime's
-    // connection-close path owns the active-gauge decrement instead.
-    handler(std::move(server_end));
-    return std::move(client_end);
-  }
-  active.add(1);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    reap_locked();
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::function<void()> shutdown;
-    if (auto* pipe = dynamic_cast<PipeStream*>(server_end.get())) {
-      shutdown = pipe->make_read_shutdown();
-    }
-    threads_.push_back(ConnThread{
-        std::thread([handler = std::move(handler),
-                     server = std::move(server_end), done]() mutable {
-          handler(std::move(server));
-          active.add(-1);
-          done->store(true, std::memory_order_release);
-        }),
-        done, std::move(shutdown)});
-  }
+  handlers[shard](std::move(server_end));
   return std::move(client_end);
-}
-
-void InMemoryNetwork::reap_locked() {
-  // Join and drop threads whose handler already returned; callers hold
-  // mutex_. join() on a finished thread returns immediately, so this keeps
-  // threads_ proportional to *live* connections instead of every handle
-  // ever spawned.
-  std::erase_if(threads_, [](ConnThread& ct) {
-    if (!ct.done->load(std::memory_order_acquire)) return false;
-    if (ct.thread.joinable()) ct.thread.join();
-    return true;
-  });
-}
-
-std::size_t InMemoryNetwork::live_connection_threads() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  reap_locked();
-  return threads_.size();
-}
-
-void InMemoryNetwork::join_all() {
-  std::vector<ConnThread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    threads.swap(threads_);
-  }
-  // Keep-alive clients (e.g. the pooled HTTP client) may still hold idle
-  // connections open. Signal EOF on each surviving server read side first —
-  // the in-memory analogue of a server closing its keep-alive connections
-  // on shutdown — so thread-mode handlers unblock instead of waiting for a
-  // client close that never comes.
-  for (auto& ct : threads) {
-    if (ct.shutdown) ct.shutdown();
-  }
-  for (auto& ct : threads) {
-    if (ct.thread.joinable()) ct.thread.join();
-  }
 }
 
 }  // namespace vnfsgx::net

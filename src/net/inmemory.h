@@ -4,22 +4,17 @@
 // so benchmarks can model a LAN between the Verification Manager, the
 // container host and the controller without real sockets. The
 // InMemoryNetwork maps string addresses ("controller:8443") to accept
-// handlers. Handlers run either on a per-connection thread (legacy mode,
-// reaped as connections finish) or inline on the connector's thread
-// (kInline — used by the ServerRuntime's pooled dispatcher, which only
-// registers the connection and returns immediately).
+// handlers, which run inline on the connecting thread: the ServerRuntime's
+// handler only registers the server end with a shard and returns.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/stream.h"
@@ -50,42 +45,32 @@ bool set_pipe_readable_callback(Stream& stream, std::function<void()> callback);
 /// Returns false for non-pipe streams.
 bool pipe_readable(Stream& stream);
 
-/// How InMemoryNetwork runs a listener's accept handler.
-enum class ServeMode {
-  kThreadPerConnection,  // legacy: handler owns the connection on a thread
-  kInline,               // handler registers + returns on the caller's thread
-  kSharded,  // one inline handler per shard; connects round-robin over them
-};
-
 /// In-process network with named listeners.
 ///
 /// `serve` registers an address; `connect` creates a pipe, hands the server
-/// end to the handler, and returns the client end. Destroying the network
-/// waits for all connection threads to finish, so thread-mode handlers must
-/// terminate when their stream is closed.
+/// end to the listener's accept handler on the connecting thread, and
+/// returns the client end once the handler returns. Handlers must not block
+/// on the peer: it cannot write until connect returns.
 class InMemoryNetwork {
  public:
   using AcceptHandler = std::function<void(StreamPtr)>;
 
   InMemoryNetwork() = default;
-  ~InMemoryNetwork();
 
   InMemoryNetwork(const InMemoryNetwork&) = delete;
   InMemoryNetwork& operator=(const InMemoryNetwork&) = delete;
 
-  /// Register a listener. Throws Error if the address is taken.
-  void serve(const std::string& address, AcceptHandler handler,
-             const LinkOptions& options = {},
-             ServeMode mode = ServeMode::kThreadPerConnection);
+  /// Register a listener with one accept handler. Throws Error if the
+  /// address is taken.
+  void serve(const std::string& address, AcceptHandler handler);
 
   /// Register a sharded listener: the in-memory analogue of N SO_REUSEPORT
   /// listeners. Each handler registers the server end with one runtime
-  /// shard (inline, like kInline); connects are spread round-robin so every
-  /// shard exercises the same per-shard dispatch contract the TCP path
-  /// uses. Throws Error if the address is taken or `handlers` is empty.
+  /// shard; connects are spread round-robin so every shard exercises the
+  /// same per-shard dispatch contract the TCP path uses. Throws Error if
+  /// the address is taken or `handlers` is empty.
   void serve_sharded(const std::string& address,
-                     std::vector<AcceptHandler> handlers,
-                     const LinkOptions& options = {});
+                     std::vector<AcceptHandler> handlers);
 
   /// Remove a listener (existing connections keep running).
   void stop_serving(const std::string& address);
@@ -93,43 +78,17 @@ class InMemoryNetwork {
   /// Connect to a named listener. Throws IoError if nothing listens there.
   StreamPtr connect(const std::string& address);
 
-  /// Shut down and wait for all spawned connection threads (also done by
-  /// the destructor). Surviving server read sides are signalled EOF first —
-  /// keep-alive clients (pooled HTTP) hold connections open indefinitely,
-  /// and a thread-mode handler blocked in read must unblock to be joined.
-  /// A pooled client whose idle connection is closed this way sees an
-  /// IoError on next reuse and re-dials, as with a real server shutdown.
-  void join_all();
-
-  /// Connection threads still running (finished ones are reaped lazily on
-  /// each connect). Bounded by live thread-mode connections, not by the
-  /// total ever accepted.
-  std::size_t live_connection_threads();
-
  private:
+  /// Per-shard accept handlers and the round-robin cursor; a plain `serve`
+  /// is the one-handler case. Shared so a connect can keep dispatching
+  /// after the entry is copied out under the lock.
   struct Listener {
-    AcceptHandler handler;
-    LinkOptions options;
-    ServeMode mode = ServeMode::kThreadPerConnection;
-    /// kSharded: per-shard handlers + the round-robin cursor. Shared so a
-    /// connect can keep dispatching after the listener entry is copied out
-    /// under the lock.
-    std::shared_ptr<std::vector<AcceptHandler>> shard_handlers;
-    std::shared_ptr<std::atomic<std::size_t>> shard_cursor;
+    std::shared_ptr<const std::vector<AcceptHandler>> handlers;
+    std::shared_ptr<std::atomic<std::size_t>> cursor;
   };
-  struct ConnThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-    /// Forces EOF on the connection's server read side (weakly held; a
-    /// no-op once the pipe is gone). Set for thread-mode pipe connections.
-    std::function<void()> shutdown;
-  };
-
-  void reap_locked();
 
   std::mutex mutex_;
   std::map<std::string, Listener> listeners_;
-  std::vector<ConnThread> threads_;
 };
 
 }  // namespace vnfsgx::net

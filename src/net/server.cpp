@@ -31,27 +31,6 @@ double us_since(SteadyClock::time_point start) {
       .count();
 }
 
-class BlockingDriver final : public ConnectionDriver {
- public:
-  BlockingDriver(StreamPtr stream, std::function<void(Stream&)> serve)
-      : stream_(std::move(stream)), serve_(std::move(serve)) {
-    // The protocol paces its own round trips (e.g. the attestation RPC
-    // waits on IAS mid-conversation), so the burst deadline does not apply.
-    stream_->set_read_timeout(std::chrono::milliseconds{0});
-  }
-
-  BurstResult on_readable() override {
-    serve_(*stream_);
-    return BurstResult::kClose;
-  }
-
-  bool paces_itself() const override { return true; }
-
- private:
-  StreamPtr stream_;
-  std::function<void(Stream&)> serve_;
-};
-
 class FrameDriver final : public ConnectionDriver {
  public:
   FrameDriver(StreamPtr stream, std::function<Bytes(ByteView)> handler)
@@ -80,12 +59,6 @@ class FrameDriver final : public ConnectionDriver {
 };
 
 }  // namespace
-
-DriverFactory blocking_driver(std::function<void(Stream&)> serve) {
-  return [serve = std::move(serve)](StreamPtr stream) {
-    return std::make_unique<BlockingDriver>(std::move(stream), serve);
-  };
-}
 
 DriverFactory frame_driver(std::function<Bytes(ByteView)> handler) {
   return [handler = std::move(handler)](StreamPtr stream) {
@@ -309,26 +282,16 @@ TcpListener& ServerRuntime::listen_tcp(std::uint16_t port,
 void ServerRuntime::listen_inmemory(InMemoryNetwork& network,
                                     const std::string& address,
                                     DriverFactory factory) {
-  if (shards_.size() > 1) {
-    // In-memory analogue of the SO_REUSEPORT group: one accept handler per
-    // shard, connects spread round-robin by the network.
-    std::vector<InMemoryNetwork::AcceptHandler> handlers;
-    handlers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      handlers.push_back(
-          [this, s = shard.get(), factory](StreamPtr stream) {
-            register_connection(*s, std::move(stream), factory, -1);
-          });
-    }
-    network.serve_sharded(address, std::move(handlers));
-    return;
+  // In-memory analogue of the SO_REUSEPORT group: one accept handler per
+  // shard, connects spread round-robin by the network.
+  std::vector<InMemoryNetwork::AcceptHandler> handlers;
+  handlers.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    handlers.push_back([this, s = shard.get(), factory](StreamPtr stream) {
+      register_connection(*s, std::move(stream), factory, -1);
+    });
   }
-  network.serve(
-      address,
-      [this, factory = std::move(factory)](StreamPtr stream) {
-        adopt(std::move(stream), factory);
-      },
-      {}, ServeMode::kInline);
+  network.serve_sharded(address, std::move(handlers));
 }
 
 void ServerRuntime::adopt(StreamPtr stream, const DriverFactory& factory) {
@@ -461,8 +424,7 @@ ServerRuntime::Connection* ServerRuntime::try_claim_locked(Shard& shard,
     conn.state = Connection::State::kRunning;
     conn.pending = false;
     conn.deadline_fired.store(false, std::memory_order_relaxed);
-    if (conn.fd >= 0 && options_.burst_read_timeout.count() > 0 &&
-        !conn.driver->paces_itself()) {
+    if (conn.fd >= 0 && options_.burst_read_timeout.count() > 0) {
       const bool was_empty = shard.wheel.armed() == 0;
       conn.burst_timer = shard.wheel.schedule(
           options_.burst_read_timeout + kBurstDeadlineGrace, (id << 1) | 1);

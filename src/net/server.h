@@ -1,13 +1,13 @@
 // ServerRuntime: shared scalable server scaffolding for every listening
 // surface (controller REST, VM operator API, IAS HTTP API, examples).
 //
-// Replaces thread-per-connection: idle keep-alive connections park in an
-// epoll reactor (or behind a pipe readiness callback for the in-memory
-// transport) costing zero threads. When a connection becomes readable it is
-// queued to a bounded worker pool; the worker runs the protocol's existing
-// blocking code for exactly one request/response burst, then re-arms the
-// connection (EPOLLONESHOT). Thread count is therefore bounded by *active*
-// requests, not open connections.
+// Idle keep-alive connections park in an epoll reactor (or behind a pipe
+// readiness callback for the in-memory transport) costing zero threads.
+// When a connection becomes readable it is queued to a bounded worker pool;
+// the worker runs the protocol's blocking code for exactly one
+// request/response burst, then re-arms the connection (EPOLLONESHOT).
+// Thread count is therefore bounded by *active* requests, not open
+// connections.
 //
 // The runtime is sharded N ways: each shard owns a reactor, a hierarchical
 // timer wheel (burst-read deadlines + idle-connection eviction), a scratch
@@ -59,9 +59,8 @@ enum class BurstResult {
 /// Per-connection protocol state owned by the runtime. Created when a
 /// connection is accepted; on_readable() runs on a worker thread once per
 /// readiness burst and must consume at most one request/response exchange
-/// before returning (long-running blocking protocols may consume the whole
-/// conversation — they hold a worker for its duration, which is fine for
-/// surfaces whose sessions are active end-to-end, like the attestation RPC).
+/// before returning. Every read in the burst is bounded by the runtime's
+/// burst read deadline.
 class ConnectionDriver {
  public:
   virtual ~ConnectionDriver() = default;
@@ -73,10 +72,6 @@ class ConnectionDriver {
   /// borrowed stream pointer during teardown; kKeepAlive/kMoreData results
   /// promise the transport is still alive.
   virtual bool transport_alive() const { return true; }
-
-  /// True for drivers that pace their own (possibly long) conversation —
-  /// the runtime's burst-deadline timer does not apply to them.
-  virtual bool paces_itself() const { return false; }
 
   /// Connection diet hook: the runtime calls this when parking the
   /// connection after a kKeepAlive burst. Implementations release scratch
@@ -91,18 +86,6 @@ class ConnectionDriver {
 /// for trusted multi-round-trip protocols may override it (set 0).
 using DriverFactory =
     std::function<std::unique_ptr<ConnectionDriver>(StreamPtr)>;
-
-/// Wrap a classic blocking `serve(stream)` loop as a driver: the whole
-/// conversation runs in a single burst on the first readiness event, and
-/// the read deadline is lifted (the protocol paces itself). Idle accepted
-/// connections still cost zero threads until the peer's first byte.
-///
-/// Caution: the conversation pins a worker from first byte to EOF. A
-/// handful of long-lived connections can exhaust the pool, so this is only
-/// for surfaces whose sessions are genuinely active end-to-end. Framed
-/// request/response protocols should use frame_driver, which parks the
-/// connection between frames.
-DriverFactory blocking_driver(std::function<void(Stream&)> serve);
 
 /// Driver for length-prefixed framed request/response protocols (framing.h,
 /// e.g. the attestation RPC): each readiness burst reads exactly one frame,
@@ -155,8 +138,7 @@ class ServerRuntime {
                           int backlog = TcpListener::kDefaultBacklog);
 
   /// Register `address` on the in-memory network; connections dispatch
-  /// through the same per-shard queues + worker pool as TCP ones. With
-  /// multiple shards this registers a sharded listener whose connects
+  /// through the same per-shard queues + worker pool as TCP ones. Connects
   /// spread round-robin across shards (the in-memory SO_REUSEPORT
   /// analogue); no per-connection thread is ever spawned.
   void listen_inmemory(InMemoryNetwork& network, const std::string& address,

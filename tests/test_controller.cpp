@@ -2,6 +2,8 @@
 // client authentication, authorization, audit log.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -12,6 +14,7 @@
 #include "http/client.h"
 #include "json/json.h"
 #include "net/inmemory.h"
+#include "net/server.h"
 #include "pki/ca.h"
 
 namespace vnfsgx::controller {
@@ -59,14 +62,23 @@ class ControllerFixture : public ::testing::Test {
             kp.seed};
   }
 
+  /// Create the controller under test; the fixture's runtime serves it.
+  Controller& start(const ControllerConfig& cfg) {
+    controller_ = std::make_unique<Controller>(cfg, fabric_);
+    return *controller_;
+  }
+
+  /// A client pipe whose server end the runtime serves as `controller`.
+  net::StreamPtr open(Controller& controller) {
+    auto [client_end, server_end] = net::make_pipe();
+    runtime_.adopt(std::move(server_end), controller.driver_factory());
+    return std::move(client_end);
+  }
+
   /// Open an HTTP client to `controller` honoring its mode.
   http::Client connect(Controller& controller,
                        const ClientIdentity* identity = nullptr) {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
+    net::StreamPtr client_end = open(controller);
     if (controller.mode() == SecurityMode::kHttp) {
       return http::Client(std::move(client_end));
     }
@@ -83,25 +95,23 @@ class ControllerFixture : public ::testing::Test {
         tls::Session::connect(std::move(client_end), tls_config));
   }
 
-  void join_all() {
-    for (auto& t : server_threads_) {
-      if (t.joinable()) t.join();
-    }
-    server_threads_.clear();
-  }
-
-  ~ControllerFixture() override { join_all(); }
+  /// Stop serving: every burst in flight finishes first, so counters and
+  /// the audit log are final afterwards.
+  void stop_server() { runtime_.shutdown(); }
 
   DeterministicRandom rng_;
   SimClock clock_;
   pki::CertificateAuthority ca_;
   pki::TrustStore truststore_;
   dataplane::Fabric fabric_;
-  std::vector<std::thread> server_threads_;
+  std::unique_ptr<Controller> controller_;
+  /// Declared last: stops before the controller it serves is destroyed.
+  net::ServerRuntime runtime_{{.burst_read_timeout = std::chrono::seconds(10),
+                               .name = "test-controller"}};
 };
 
 TEST_F(ControllerFixture, SummaryAndTopologyEndpoints) {
-  Controller controller(config(SecurityMode::kHttp), fabric_);
+  Controller& controller = start(config(SecurityMode::kHttp));
   auto client = connect(controller);
   const auto summary =
       json::parse(vnfsgx::to_string(client.get("/wm/core/controller/summary/json").body));
@@ -120,7 +130,7 @@ TEST_F(ControllerFixture, SummaryAndTopologyEndpoints) {
 }
 
 TEST_F(ControllerFixture, StaticFlowPusherLifecycle) {
-  Controller controller(config(SecurityMode::kHttp), fabric_);
+  Controller& controller = start(config(SecurityMode::kHttp));
   auto client = connect(controller);
 
   const auto push = client.post(
@@ -151,7 +161,7 @@ TEST_F(ControllerFixture, StaticFlowPusherLifecycle) {
 }
 
 TEST_F(ControllerFixture, FlowPushErrors) {
-  Controller controller(config(SecurityMode::kHttp), fabric_);
+  Controller& controller = start(config(SecurityMode::kHttp));
   auto client = connect(controller);
   EXPECT_EQ(client.post("/wm/staticflowpusher/json", "nonsense").status, 400);
   EXPECT_EQ(client.post("/wm/staticflowpusher/json",
@@ -166,14 +176,14 @@ TEST_F(ControllerFixture, FlowPushErrors) {
 }
 
 TEST_F(ControllerFixture, HttpsServesWithoutClientCert) {
-  Controller controller(config(SecurityMode::kHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kHttps));
   auto client = connect(controller);
   EXPECT_EQ(client.get("/wm/core/controller/summary/json").status, 200);
   client.close();
 }
 
 TEST_F(ControllerFixture, TrustedHttpsAcceptsCaSignedClient) {
-  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kTrustedHttps));
   controller.trust_ca(ca_.root_certificate());
   const auto identity = make_client("vnf-1");
   auto client = connect(controller, &identity);
@@ -181,7 +191,7 @@ TEST_F(ControllerFixture, TrustedHttpsAcceptsCaSignedClient) {
                         R"({"name":"f1","switch":1,"actions":"drop"})").status,
             200);
   client.close();
-  join_all();
+  stop_server();
   // The audit log attributes the write to the authenticated CN.
   const auto log = controller.audit_log();
   ASSERT_FALSE(log.empty());
@@ -190,7 +200,7 @@ TEST_F(ControllerFixture, TrustedHttpsAcceptsCaSignedClient) {
 }
 
 TEST_F(ControllerFixture, TrustedHttpsRejectsAnonymousClient) {
-  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kTrustedHttps));
   controller.trust_ca(ca_.root_certificate());
   EXPECT_THROW(
       {
@@ -198,13 +208,13 @@ TEST_F(ControllerFixture, TrustedHttpsRejectsAnonymousClient) {
         client.get("/wm/core/controller/summary/json");
       },
       Error);
-  join_all();
+  stop_server();
   EXPECT_EQ(controller.rejected_connections(), 1u);
   EXPECT_EQ(controller.requests_served(), 0u);
 }
 
 TEST_F(ControllerFixture, TrustedHttpsRejectsForeignCa) {
-  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kTrustedHttps));
   controller.trust_ca(ca_.root_certificate());
 
   DeterministicRandom rng2(71);
@@ -221,12 +231,12 @@ TEST_F(ControllerFixture, TrustedHttpsRejectsForeignCa) {
         client.get("/wm/core/controller/summary/json");
       },
       Error);
-  join_all();
+  stop_server();
   EXPECT_EQ(controller.rejected_connections(), 1u);
 }
 
 TEST_F(ControllerFixture, TrustedHttpsRejectsRevokedClient) {
-  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kTrustedHttps));
   controller.trust_ca(ca_.root_certificate());
   const auto identity = make_client("vnf-revoked");
   controller.update_crl(ca_.revoke(identity.cert.serial));
@@ -236,12 +246,12 @@ TEST_F(ControllerFixture, TrustedHttpsRejectsRevokedClient) {
         client.get("/wm/core/controller/summary/json");
       },
       Error);
-  join_all();
+  stop_server();
   EXPECT_EQ(controller.rejected_connections(), 1u);
 }
 
 TEST_F(ControllerFixture, TrustedModeRequiresTrustedCa) {
-  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  Controller& controller = start(config(SecurityMode::kTrustedHttps));
   const auto identity = make_client("vnf-1");
   EXPECT_THROW(
       {
@@ -249,12 +259,12 @@ TEST_F(ControllerFixture, TrustedModeRequiresTrustedCa) {
         client.get("/wm/core/controller/summary/json");
       },
       Error);
-  join_all();
+  stop_server();
 }
 
 TEST_F(ControllerFixture, HttpAllowsAnonymousWrites) {
   // The exposure trusted HTTPS closes: any client can program the network.
-  Controller controller(config(SecurityMode::kHttp), fabric_);
+  Controller& controller = start(config(SecurityMode::kHttp));
   auto client = connect(controller);
   EXPECT_EQ(client.post("/wm/staticflowpusher/json",
                         R"({"name":"evil","switch":1,"actions":"drop"})").status,
@@ -281,18 +291,14 @@ namespace {
 TEST_F(ControllerFixture, SessionTicketsResumeWithIdentity) {
   ControllerConfig cfg = config(SecurityMode::kTrustedHttps);
   cfg.enable_session_tickets = true;
-  Controller controller(cfg, fabric_);
+  Controller& controller = start(cfg);
   controller.trust_ca(ca_.root_certificate());
   const auto identity = make_client("vnf-7");
 
   // First connection: full handshake; harvest the ticket.
   tls::SessionTicket ticket;
   {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
+    net::StreamPtr client_end = open(controller);
     tls::Config tls_config;
     tls_config.truststore = &truststore_;
     tls_config.expected_server_name = "controller";
@@ -313,11 +319,7 @@ TEST_F(ControllerFixture, SessionTicketsResumeWithIdentity) {
   // Second connection: resumption — no client certificate needed, but the
   // audit log still shows the authenticated identity.
   {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
+    net::StreamPtr client_end = open(controller);
     tls::Config tls_config;
     tls_config.truststore = &truststore_;
     tls_config.clock = &clock_;
@@ -331,7 +333,7 @@ TEST_F(ControllerFixture, SessionTicketsResumeWithIdentity) {
               200);
     client.close();
   }
-  join_all();
+  stop_server();
   const auto log = controller.audit_log();
   ASSERT_GE(log.size(), 2u);
   EXPECT_EQ(log.back().identity, "vnf-7");
@@ -340,17 +342,13 @@ TEST_F(ControllerFixture, SessionTicketsResumeWithIdentity) {
 TEST_F(ControllerFixture, RevokedClientCannotResume) {
   ControllerConfig cfg = config(SecurityMode::kTrustedHttps);
   cfg.enable_session_tickets = true;
-  Controller controller(cfg, fabric_);
+  Controller& controller = start(cfg);
   controller.trust_ca(ca_.root_certificate());
   const auto identity = make_client("vnf-8");
 
   tls::SessionTicket ticket;
   {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
+    net::StreamPtr client_end = open(controller);
     tls::Config tls_config;
     tls_config.truststore = &truststore_;
     tls_config.clock = &clock_;
@@ -368,11 +366,7 @@ TEST_F(ControllerFixture, RevokedClientCannotResume) {
   // back to a full handshake (where the revoked cert also fails).
   controller.update_crl(ca_.revoke(identity.cert.serial));
   {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
+    net::StreamPtr client_end = open(controller);
     tls::Config tls_config;
     tls_config.truststore = &truststore_;
     tls_config.clock = &clock_;
@@ -394,7 +388,7 @@ TEST_F(ControllerFixture, RevokedClientCannotResume) {
     }
     EXPECT_TRUE(locked_out);
   }
-  join_all();
+  stop_server();
 }
 
 }  // namespace
@@ -501,7 +495,7 @@ TEST_F(ControllerFixture, ConcurrentTrustedClients) {
   LockedRandom locked_rng(rng_);
   ControllerConfig cfg = config(SecurityMode::kTrustedHttps);
   cfg.rng = &locked_rng;
-  Controller controller(cfg, fabric_);
+  Controller& controller = start(cfg);
   controller.trust_ca(ca_.root_certificate());
 
   constexpr int kClients = 12;
@@ -514,14 +508,9 @@ TEST_F(ControllerFixture, ConcurrentTrustedClients) {
   std::atomic<int> ok{0};
   std::vector<std::thread> clients;
   for (int i = 0; i < kClients; ++i) {
-    auto [client_end, server_end] = net::make_pipe();
-    server_threads_.emplace_back(
-        [&controller, s = std::move(server_end)]() mutable {
-          controller.serve(std::move(s));
-        });
-    clients.emplace_back([this, &controller, &ok, &identities, &locked_rng, i,
+    net::StreamPtr client_end = open(controller);
+    clients.emplace_back([this, &ok, &identities, &locked_rng, i,
                           c = std::move(client_end)]() mutable {
-      (void)controller;
       tls::Config tls_config;
       tls_config.truststore = &truststore_;
       tls_config.expected_server_name = "controller";
@@ -549,7 +538,7 @@ TEST_F(ControllerFixture, ConcurrentTrustedClients) {
     });
   }
   for (auto& t : clients) t.join();
-  join_all();
+  stop_server();
   EXPECT_EQ(ok.load(), kClients);
   EXPECT_EQ(fabric_.find_switch(1)->flows().size(),
             static_cast<std::size_t>(kClients));

@@ -4,20 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "common/base64.h"
 #include "common/sim_clock.h"
 #include "controller/controller.h"
-#include "common/base64.h"
 #include "core/host_agent.h"
-#include "core/vm_api.h"
 #include "core/verification_manager.h"
 #include "crypto/random.h"
 #include "http/client.h"
-#include "ias/http_api.h"
 #include "net/framing.h"
 #include "net/inmemory.h"
+#include "testbed/testbed.h"
 #include "vnf/functions.h"
 
 namespace vnfsgx::core {
@@ -100,57 +98,44 @@ TEST(AppraisalDatabaseTest, VerdictLogic) {
 // Full-system testbed
 // ---------------------------------------------------------------------------
 
-sgx::PlatformOptions fast_sgx() {
-  sgx::PlatformOptions o;
-  o.crossing_cost = std::chrono::nanoseconds(0);
-  return o;
-}
-
+/// The shared Figure-1 testbed with one healthy, golden-enrolled host
+/// "host-1". Test bodies use the short names below.
 class Testbed : public ::testing::Test {
  protected:
   Testbed()
-      : rng_(61),
-        clock_(1'700'000'000),
-        ias_(rng_, clock_),
-        ias_router_(ias::make_ias_router(ias_)),
-        vendor_(crypto::ed25519_generate(rng_)),
-        host_("host-1", rng_, fast_sgx()),
-        vm_(rng_, clock_,
-            ias::IasClient([this] { return net_.connect("ias:443"); },
-                           ias_.report_signing_key())),
-        agent_(host_) {
-    net_.serve("ias:443", [this](net::StreamPtr s) {
-      http::serve_connection(*s, ias_router_);
-    });
-    net_.serve("host-1:7000",
-               [this](net::StreamPtr s) { agent_.serve(std::move(s)); });
-
-    host_.boot();
-    host_.load_attestation_enclave(vendor_.seed);
-    ias_.register_platform(host_.sgx().platform_id(),
-                           host_.sgx().quoting_enclave().attestation_public_key());
-
+      : sim_(bed_.add_host("host-1")),
+        clock_(bed_.clock),
+        net_(bed_.net),
+        vendor_(bed_.vendor),
+        host_(*sim_.machine),
+        vm_(bed_.vm),
+        agent_(*sim_.agent) {
     // Golden-host enrollment: learn the healthy host's measurements.
-    vm_.appraisal().learn(host_.ima().list());
+    bed_.learn_golden(sim_);
   }
-
-  ~Testbed() override { net_.join_all(); }
 
   /// Learn additional measurements the host produced since setup (e.g.
   /// container entrypoints from VNF deployment).
-  void relearn() { vm_.appraisal().learn(host_.ima().list()); }
+  void relearn() { bed_.learn_golden(sim_); }
 
-  net::StreamPtr channel() { return net_.connect("host-1:7000"); }
+  net::StreamPtr channel() { return bed_.agent_channel(sim_); }
 
-  DeterministicRandom rng_;
-  SimClock clock_;
-  net::InMemoryNetwork net_;
-  ias::IasService ias_;
-  http::Router ias_router_;
-  crypto::Ed25519KeyPair vendor_;
-  host::ContainerHost host_;
-  VerificationManager vm_;
-  HostAgent agent_;
+  /// Relay one request frame to host-1's real agent and return its reply:
+  /// the upstream leg of the in-path adversaries below.
+  Bytes forward_to_host(ByteView request) {
+    auto upstream = channel();
+    net::write_frame(*upstream, request);
+    return net::read_frame(*upstream);
+  }
+
+  testbed::Testbed bed_;
+  testbed::SimHost& sim_;
+  SimClock& clock_;
+  net::InMemoryNetwork& net_;
+  crypto::Ed25519KeyPair& vendor_;
+  host::ContainerHost& host_;
+  VerificationManager& vm_;
+  HostAgent& agent_;
 };
 
 TEST_F(Testbed, HostAttestationSucceedsOnHealthyHost) {
@@ -176,26 +161,23 @@ TEST_F(Testbed, HostAttestationFailsOnCompromisedHost) {
 }
 
 TEST_F(Testbed, HostAttestationFailsOnUnregisteredPlatform) {
+  // A host the testbed never registered with IAS (no EPID join).
   DeterministicRandom rng2(62);
-  host::ContainerHost stranger("stranger", rng2, fast_sgx());
+  host::ContainerHost stranger("stranger", rng2, sgx::PlatformOptions{});
   stranger.boot();
   stranger.load_attestation_enclave(vendor_.seed);
   HostAgent stranger_agent(stranger);
-  net_.serve("stranger:7000", [&stranger_agent](net::StreamPtr s) {
-    stranger_agent.serve(std::move(s));
+  bed_.serve_agent("stranger:7000", [&stranger_agent](ByteView request) {
+    return stranger_agent.serve_frame(request);
   });
   auto ch = net_.connect("stranger:7000");
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_FALSE(result.trustworthy);
   EXPECT_EQ(result.quote_status, ias::QuoteStatus::kUnknownPlatform);
-  // The handler thread holds &stranger_agent; close our end of the pipe
-  // and join before the agent leaves scope.
-  ch.reset();
-  net_.join_all();
 }
 
 TEST_F(Testbed, HostAttestationFailsOnRevokedPlatform) {
-  ias_.revoke_platform(host_.sgx().platform_id());
+  bed_.ias.revoke_platform(host_.sgx().platform_id());
   auto ch = channel();
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_FALSE(result.trustworthy);
@@ -265,28 +247,15 @@ TEST_F(Testbed, Step6VnfSpeaksToControllerFromEnclave) {
   ASSERT_TRUE(vm_.attest_vnf(*ch, "vnf-1").trustworthy);
   ASSERT_TRUE(vm_.enroll_vnf(*ch, "vnf-1", "vnf-1").has_value());
 
-  // Controller in trusted-HTTPS mode, trusting the VM's CA.
   dataplane::Fabric fabric;
   fabric.add_switch(1);
-  const auto controller_kp = crypto::ed25519_generate(rng_);
-  controller::ControllerConfig cfg;
-  cfg.mode = controller::SecurityMode::kTrustedHttps;
-  cfg.certificate = vm_.ca().issue(
-      {"controller", ""}, controller_kp.public_key,
-      static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth));
-  cfg.signer = tls::Config::software_signer(controller_kp.seed);
-  cfg.clock = &clock_;
-  cfg.rng = &rng_;
-  controller::Controller controller(cfg, fabric);
-  controller.trust_ca(vm_.ca_certificate());
-  net_.serve("controller:8443", [&controller](net::StreamPtr s) {
-    controller.serve(std::move(s));
-  });
+  controller::Controller& controller = bed_.start_controller(
+      fabric, controller::SecurityMode::kTrustedHttps);
 
   // Step 6: the VNF's enclave terminates the TLS session; HTTP runs over
   // the enclave tunnel.
-  vnf.credentials().tls_open(net_.connect("controller:8443"), clock_.now(), "controller",
-                             vm_.ca_certificate());
+  vnf.credentials().tls_open(net_.connect(testbed::kControllerAddress),
+                             clock_.now(), "controller", vm_.ca_certificate());
   vnf::EnclaveTlsStream tunnel(vnf.credentials());
   http::Connection conn(tunnel);
   http::Request push;
@@ -304,10 +273,6 @@ TEST_F(Testbed, Step6VnfSpeaksToControllerFromEnclave) {
   const auto log = controller.audit_log();
   ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.back().identity, "vnf-1");
-  // The handler thread holds &controller; close every stream we still
-  // hold open and join before it leaves scope.
-  ch.reset();
-  net_.join_all();
 }
 
 TEST_F(Testbed, RevokedCredentialLockedOutOfController) {
@@ -322,29 +287,17 @@ TEST_F(Testbed, RevokedCredentialLockedOutOfController) {
   ASSERT_TRUE(cert.has_value());
 
   dataplane::Fabric fabric;
-  const auto controller_kp = crypto::ed25519_generate(rng_);
-  controller::ControllerConfig cfg;
-  cfg.mode = controller::SecurityMode::kTrustedHttps;
-  cfg.certificate = vm_.ca().issue(
-      {"controller", ""}, controller_kp.public_key,
-      static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth));
-  cfg.signer = tls::Config::software_signer(controller_kp.seed);
-  cfg.clock = &clock_;
-  cfg.rng = &rng_;
-  controller::Controller controller(cfg, fabric);
-  controller.trust_ca(vm_.ca_certificate());
+  controller::Controller& controller = bed_.start_controller(
+      fabric, controller::SecurityMode::kTrustedHttps);
   // Host compromise response: revoke everything on the platform and push
   // the CRL to the controller.
   controller.update_crl(vm_.revoke_platform(host_.sgx().platform_id()));
-  net_.serve("controller:8443", [&controller](net::StreamPtr s) {
-    controller.serve(std::move(s));
-  });
 
   // TLS-1.3 semantics: the rejection surfaces at the handshake or on the
   // first exchange, depending on timing; the session must never work.
   EXPECT_THROW(
       {
-        vnf.credentials().tls_open(net_.connect("controller:8443"),
+        vnf.credentials().tls_open(net_.connect(testbed::kControllerAddress),
                                    clock_.now(), "controller",
                                    vm_.ca_certificate());
         vnf.credentials().tls_send(to_bytes("GET / HTTP/1.1\r\n\r\n"));
@@ -353,15 +306,11 @@ TEST_F(Testbed, RevokedCredentialLockedOutOfController) {
         }
       },
       Error);
-  // The handler thread holds &controller, which dies with this scope:
-  // release our end of the pipe (tls_close is a no-op if the handshake
-  // already failed) and join before the controller is destroyed.
+  // tls_close is a no-op if the handshake already failed.
   try {
     vnf.credentials().tls_close();
   } catch (const Error&) {
   }
-  ch.reset();
-  net_.join_all();
   EXPECT_FALSE(vm_.platform_trusted(host_.sgx().platform_id()));
 }
 
@@ -382,76 +331,43 @@ TEST_F(Testbed, StaleImlReplayRejected) {
       sgx::Report::decode(report_bytes));
 
   // Replay agent answering every challenge with the stale material.
-  net_.serve("replayer:7000", [&](net::StreamPtr s) {
-    try {
-      while (true) {
-        Bytes request;
-        try {
-          request = net::read_frame(*s);
-        } catch (const IoError&) {
-          return;
-        }
-        AttestHostResponse response;
-        response.quote = stale_quote.encode();
-        response.iml = healthy_iml;
-        net::write_frame(*s, encode(response));
-      }
-    } catch (const Error&) {
-    }
-  });
+  AttestHostResponse stale;
+  stale.quote = stale_quote.encode();
+  stale.iml = healthy_iml;
+  bed_.serve_agent("replayer:7000",
+                   [replay = encode(stale)](ByteView) { return replay; });
 
   auto ch = net_.connect("replayer:7000");
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_FALSE(result.trustworthy);
   EXPECT_NE(result.reason.find("replay"), std::string::npos);
-  // The handler thread reads stale_quote/healthy_iml by reference; close
-  // our end of the pipe and join before they leave scope.
-  ch.reset();
-  net_.join_all();
 }
 
 TEST_F(Testbed, TamperedImlInTransitRejected) {
   // A man-in-the-middle that alters the IML after the enclave quoted it:
   // report data binds the exact bytes, so appraisal never even runs.
-  net_.serve("mitm:7000", [&](net::StreamPtr client) {
-    try {
-      while (true) {
-        Bytes request;
-        try {
-          request = net::read_frame(*client);
-        } catch (const IoError&) {
-          return;
+  bed_.serve_agent("mitm:7000", [this](ByteView request) {
+    Bytes response = forward_to_host(request);
+    if (peek_type(response) == MessageType::kAttestHostResponse) {
+      AttestHostResponse r = decode_attest_host_response(response);
+      ima::MeasurementList iml = ima::MeasurementList::decode(r.iml);
+      // Hide the dockerd entry (e.g. to mask a compromise).
+      ima::MeasurementList filtered;
+      for (const auto& e : iml.entries()) {
+        if (e.file_path != "/usr/bin/dockerd") {
+          filtered.add_measurement(e.file_digest, e.file_path);
         }
-        auto upstream = net_.connect("host-1:7000");
-        net::write_frame(*upstream, request);
-        Bytes response = net::read_frame(*upstream);
-        if (peek_type(response) == MessageType::kAttestHostResponse) {
-          AttestHostResponse r = decode_attest_host_response(response);
-          ima::MeasurementList iml = ima::MeasurementList::decode(r.iml);
-          // Hide the dockerd entry (e.g. to mask a compromise).
-          ima::MeasurementList filtered;
-          for (const auto& e : iml.entries()) {
-            if (e.file_path != "/usr/bin/dockerd") {
-              filtered.add_measurement(e.file_digest, e.file_path);
-            }
-          }
-          r.iml = filtered.encode();
-          response = encode(r);
-        }
-        net::write_frame(*client, response);
       }
-    } catch (const Error&) {
+      r.iml = filtered.encode();
+      response = encode(r);
     }
+    return response;
   });
 
   auto ch = net_.connect("mitm:7000");
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_FALSE(result.trustworthy);
   EXPECT_NE(result.reason.find("replay"), std::string::npos);
-  // Close our end of the pipe and join the mitm thread before test-body
-  // state it captured by reference leaves scope.
-  ch.reset();
-  net_.join_all();
 }
 
 TEST_F(Testbed, MultipleVnfsEnrollIndependently) {
@@ -490,45 +406,33 @@ namespace {
 /// handing it to the attestation enclave — the root-attacker capability the
 /// paper's base design cannot detect, because the enclave faithfully binds
 /// whatever bytes it is given.
-void serve_sanitizing_agent(net::InMemoryNetwork& net,
-                            const std::string& address,
+void serve_sanitizing_agent(testbed::Testbed& bed, const std::string& address,
                             host::ContainerHost& machine) {
-  net.serve(address, [&machine](net::StreamPtr s) {
-    try {
-      while (true) {
-        Bytes request;
-        try {
-          request = net::read_frame(*s);
-        } catch (const IoError&) {
-          return;
-        }
-        const AttestHostRequest req = decode_attest_host_request(request);
-        // Root sanitizes the in-kernel measurement list it reports.
-        ima::MeasurementList sanitized;
-        for (const auto& e : machine.ima().list().entries()) {
-          if (e.file_path != "/usr/bin/dockerd") {
-            sanitized.add_measurement(e.file_digest, e.file_path);
-          }
-        }
-        const Bytes iml = sanitized.encode();
-        const auto qe_target = machine.sgx().quoting_enclave().target_info();
-        const Bytes report = machine.attestation_enclave()->call(
-            host::kOpCreateImlReport,
-            host::encode_iml_report_request(req.nonce, iml, qe_target));
-        AttestHostResponse response;
-        response.quote = machine.sgx()
-                             .quoting_enclave()
-                             .quote(sgx::Report::decode(report))
-                             .encode();
-        response.iml = iml;
-        // Root cannot forge the TPM, so the best it can do is quote the
-        // true PCR (or omit the quote; both fail verification).
-        response.tpm_quote =
-            machine.tpm().quote(ima::kImaPcrIndex, req.nonce).encode();
-        net::write_frame(*s, encode(response));
+  bed.serve_agent(address, [&machine](ByteView request) {
+    const AttestHostRequest req = decode_attest_host_request(request);
+    // Root sanitizes the in-kernel measurement list it reports.
+    ima::MeasurementList sanitized;
+    for (const auto& e : machine.ima().list().entries()) {
+      if (e.file_path != "/usr/bin/dockerd") {
+        sanitized.add_measurement(e.file_digest, e.file_path);
       }
-    } catch (const Error&) {
     }
+    const Bytes iml = sanitized.encode();
+    const auto qe_target = machine.sgx().quoting_enclave().target_info();
+    const Bytes report = machine.attestation_enclave()->call(
+        host::kOpCreateImlReport,
+        host::encode_iml_report_request(req.nonce, iml, qe_target));
+    AttestHostResponse response;
+    response.quote = machine.sgx()
+                         .quoting_enclave()
+                         .quote(sgx::Report::decode(report))
+                         .encode();
+    response.iml = iml;
+    // Root cannot forge the TPM, so the best it can do is quote the true
+    // PCR (or omit the quote; both fail verification).
+    response.tpm_quote =
+        machine.tpm().quote(ima::kImaPcrIndex, req.nonce).encode();
+    return encode(response);
   });
 }
 
@@ -538,7 +442,7 @@ TEST_F(Testbed, SanitizedImlUndetectedWithoutTpm) {
   // attestation. (The tampered dockerd ran, so the true IML has the bad
   // digest; the sanitized one simply omits it.)
   host_.compromise_file("/usr/bin/dockerd");
-  serve_sanitizing_agent(net_, "rootkit:7000", host_);
+  serve_sanitizing_agent(bed_, "rootkit:7000", host_);
   auto ch = net_.connect("rootkit:7000");
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_TRUE(result.trustworthy)
@@ -552,7 +456,7 @@ TEST_F(Testbed, SanitizedImlDetectedWithTpm) {
   vm_.enroll_platform_aik(host_.sgx().platform_id(),
                           host_.tpm().aik_public_key());
   host_.compromise_file("/usr/bin/dockerd");
-  serve_sanitizing_agent(net_, "rootkit:7000", host_);
+  serve_sanitizing_agent(bed_, "rootkit:7000", host_);
   auto ch = net_.connect("rootkit:7000");
   const HostAttestation result = vm_.attest_host(*ch);
   EXPECT_FALSE(result.trustworthy);
@@ -572,27 +476,14 @@ TEST_F(Testbed, MissingTpmQuoteRejectedWhenAikEnrolled) {
   vm_.enroll_platform_aik(host_.sgx().platform_id(),
                           host_.tpm().aik_public_key());
   // An agent that strips the TPM quote (downgrade attack).
-  net_.serve("stripper:7000", [this](net::StreamPtr s) {
-    try {
-      while (true) {
-        Bytes request;
-        try {
-          request = net::read_frame(*s);
-        } catch (const IoError&) {
-          return;
-        }
-        auto upstream = net_.connect("host-1:7000");
-        net::write_frame(*upstream, request);
-        Bytes response = net::read_frame(*upstream);
-        if (peek_type(response) == MessageType::kAttestHostResponse) {
-          AttestHostResponse r = decode_attest_host_response(response);
-          r.tpm_quote.clear();
-          response = encode(r);
-        }
-        net::write_frame(*s, response);
-      }
-    } catch (const Error&) {
+  bed_.serve_agent("stripper:7000", [this](ByteView request) {
+    Bytes response = forward_to_host(request);
+    if (peek_type(response) == MessageType::kAttestHostResponse) {
+      AttestHostResponse r = decode_attest_host_response(response);
+      r.tpm_quote.clear();
+      response = encode(r);
     }
+    return response;
   });
   auto ch = net_.connect("stripper:7000");
   const HostAttestation result = vm_.attest_host(*ch);
@@ -624,21 +515,17 @@ namespace {
 
 class VmApiTestbed : public Testbed {
  protected:
-  VmApiTestbed() : vm_router_(make_vm_router(vm_)) {
-    net_.serve("vm:8081", [this](net::StreamPtr s) {
-      http::serve_connection(*s, vm_router_);
-    });
-  }
+  VmApiTestbed() { bed_.serve_vm_api(); }
+
+  net::StreamPtr vm_api() { return net_.connect(testbed::kVmAddress); }
 
   json::Value get_json(const std::string& target) {
-    http::Client client(net_.connect("vm:8081"));
+    http::Client client(vm_api());
     const auto res = client.get(target);
     EXPECT_EQ(res.status, 200) << target;
     client.close();
     return json::parse(vnfsgx::to_string(res.body));
   }
-
-  http::Router vm_router_;
 };
 
 TEST_F(VmApiTestbed, StatusReflectsAttestations) {
@@ -666,7 +553,7 @@ TEST_F(VmApiTestbed, CrlDownloadAndRevocation) {
   auto empty = get_json("/vm/ca/crl");
   EXPECT_EQ(empty.at("revokedSerials").as_int(), 0);
 
-  http::Client client(net_.connect("vm:8081"));
+  http::Client client(vm_api());
   const auto res = client.post("/vm/revoke", R"({"serial": 42})");
   EXPECT_EQ(res.status, 200);
   client.close();
@@ -686,7 +573,7 @@ TEST_F(VmApiTestbed, PlatformListingAndRevocation) {
   ASSERT_EQ(platforms.at("trusted").as_array().size(), 1u);
   const std::string id_hex = platforms.at("trusted").as_array()[0].as_string();
 
-  http::Client client(net_.connect("vm:8081"));
+  http::Client client(vm_api());
   const auto res =
       client.post("/vm/revoke-platform", R"({"platformId":")" + id_hex + R"("})");
   EXPECT_EQ(res.status, 200);
@@ -696,7 +583,7 @@ TEST_F(VmApiTestbed, PlatformListingAndRevocation) {
 }
 
 TEST_F(VmApiTestbed, BadRequestsRejected) {
-  http::Client client(net_.connect("vm:8081"));
+  http::Client client(vm_api());
   EXPECT_EQ(client.post("/vm/revoke", "not json").status, 400);
   EXPECT_EQ(client.post("/vm/revoke", R"({"wrong":1})").status, 400);
   EXPECT_EQ(client.post("/vm/revoke-platform", R"({"platformId":"zz"})").status,
@@ -777,68 +664,35 @@ TEST_F(Testbed, AppraisalCacheHitsRepeatAndInvalidatesOnPolicyChange) {
 // Fleet attestation
 // ---------------------------------------------------------------------------
 
-/// Like Testbed, but the shared deterministic RNG is wrapped in a
-/// LockedRandom: attest_fleet drives concurrent handler threads on the host
-/// agent, and every enclave key generation draws from the one platform
-/// source. The fixture deploys a fleet of VNFs up front.
-class FleetTestbed : public ::testing::Test {
+/// Like Testbed, with a fleet of VNFs deployed on host-1 up front.
+/// attest_fleet drives concurrent bursts on the host agent from several
+/// runtime workers; the testbed's locked RNG keeps their enclave key
+/// generation safe.
+class FleetTestbed : public Testbed {
  protected:
   static constexpr std::size_t kFleetSize = 8;
 
-  FleetTestbed()
-      : rng_(71),
-        locked_rng_(rng_),
-        clock_(1'700'000'000),
-        ias_(locked_rng_, clock_),
-        ias_router_(ias::make_ias_router(ias_)),
-        vendor_(crypto::ed25519_generate(locked_rng_)),
-        host_("host-1", locked_rng_, fast_sgx()),
-        vm_(locked_rng_, clock_,
-            ias::IasClient([this] { return net_.connect("ias:443"); },
-                           ias_.report_signing_key())),
-        agent_(host_) {
-    net_.serve("ias:443", [this](net::StreamPtr s) {
-      http::serve_connection(*s, ias_router_);
-    });
-    net_.serve("host-1:7000",
-               [this](net::StreamPtr s) { agent_.serve(std::move(s)); });
-    host_.boot();
-    host_.load_attestation_enclave(vendor_.seed);
-    ias_.register_platform(
-        host_.sgx().platform_id(),
-        host_.sgx().quoting_enclave().attestation_public_key());
+  FleetTestbed() {
     for (std::size_t i = 0; i < kFleetSize; ++i) {
       vnfs_.push_back(std::make_unique<vnf::Vnf>(
           "vnf-" + std::to_string(i), host_, vendor_.seed,
           std::make_unique<vnf::MonitorFunction>()));
       agent_.register_vnf(*vnfs_.back());
     }
-    vm_.appraisal().learn(host_.ima().list());
+    relearn();
   }
 
-  ~FleetTestbed() override { net_.join_all(); }
-
-  crypto::DeterministicRandom rng_;
-  crypto::LockedRandom locked_rng_;
-  SimClock clock_;
-  net::InMemoryNetwork net_;
-  ias::IasService ias_;
-  http::Router ias_router_;
-  crypto::Ed25519KeyPair vendor_;
-  host::ContainerHost host_;
-  VerificationManager vm_;
-  HostAgent agent_;
   std::vector<std::unique_ptr<vnf::Vnf>> vnfs_;
 };
 
 TEST_F(FleetTestbed, FleetAttestationMatchesSerialVerdicts) {
-  auto host_ch = net_.connect("host-1:7000");
+  auto host_ch = channel();
   ASSERT_TRUE(vm_.attest_host(*host_ch).trustworthy);
 
   std::vector<net::StreamPtr> channels;
   std::vector<FleetTarget> targets;
   for (std::size_t i = 0; i < kFleetSize; ++i) {
-    channels.push_back(net_.connect("host-1:7000"));
+    channels.push_back(channel());
     targets.push_back({channels.back().get(), "vnf-" + std::to_string(i)});
   }
   const auto results = vm_.attest_fleet(targets, /*max_workers=*/4);
@@ -861,13 +715,13 @@ TEST_F(FleetTestbed, FleetAttestationMatchesSerialVerdicts) {
 }
 
 TEST_F(FleetTestbed, FleetIsolatesFailureToTheOffendingVnf) {
-  auto host_ch = net_.connect("host-1:7000");
+  auto host_ch = channel();
   ASSERT_TRUE(vm_.attest_host(*host_ch).trustworthy);
 
   std::vector<net::StreamPtr> channels;
   std::vector<FleetTarget> targets;
   for (std::size_t i = 0; i < kFleetSize; ++i) {
-    channels.push_back(net_.connect("host-1:7000"));
+    channels.push_back(channel());
     const std::string name =
         (i == 3) ? "ghost" : "vnf-" + std::to_string(i);
     targets.push_back({channels.back().get(), name});
@@ -891,7 +745,7 @@ TEST_F(FleetTestbed, FleetRejectsEveryVnfOnUnattestedHost) {
   std::vector<net::StreamPtr> channels;
   std::vector<FleetTarget> targets;
   for (std::size_t i = 0; i < kFleetSize; ++i) {
-    channels.push_back(net_.connect("host-1:7000"));
+    channels.push_back(channel());
     targets.push_back({channels.back().get(), "vnf-" + std::to_string(i)});
   }
   const auto results = vm_.attest_fleet(targets, /*max_workers=*/4);

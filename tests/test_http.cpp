@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "http/client.h"
+#include "http/runtime.h"
 #include "http/server.h"
 #include "net/inmemory.h"
+#include "net/server.h"
 
 namespace vnfsgx::http {
 namespace {
@@ -195,109 +198,113 @@ TEST(RouterTest, LongestPrefixWins) {
   EXPECT_EQ(to_string(router.dispatch(req, ctx).body), "api");
 }
 
-TEST(ClientServer, KeepAliveExchanges) {
-  Router router;
-  int hits = 0;
-  router.add("GET", "/count", [&hits](const Request&, const RequestContext&) {
+/// Serves a router through a ServerRuntime running the HTTP driver, the
+/// path every shipped HTTP surface takes.
+class ClientServer : public ::testing::Test {
+ protected:
+  /// A client pipe whose server end the runtime adopted; `wrap` runs on
+  /// the connection's first burst (it may set the request context).
+  net::StreamPtr connect(SessionWrap wrap = {}) {
+    auto [client_end, server_end] = net::make_pipe();
+    runtime_.adopt(std::move(server_end),
+                   make_http_driver_factory(router_, std::move(wrap)));
+    return std::move(client_end);
+  }
+
+  /// Poll until the runtime holds no connection (it closed its side).
+  bool runtime_drained() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (runtime_.active_connections() != 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  Router router_;
+  net::ServerRuntime runtime_{{.workers = 2,
+                               .burst_read_timeout = std::chrono::seconds(5),
+                               .name = "test-http"}};
+};
+
+TEST_F(ClientServer, KeepAliveExchanges) {
+  std::atomic<int> hits{0};
+  router_.add("GET", "/count", [&hits](const Request&, const RequestContext&) {
     return Response::text(200, std::to_string(++hits));
   });
-
-  auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&router, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router);
-  });
-
-  Client client(std::move(client_end));
+  Client client(connect());
   EXPECT_EQ(to_string(client.get("/count").body), "1");
   EXPECT_EQ(to_string(client.get("/count").body), "2");
   EXPECT_EQ(to_string(client.get("/count").body), "3");
+  // One connection carried all three exchanges.
+  EXPECT_EQ(runtime_.active_connections(), 1u);
   client.close();
-  server.join();
+  EXPECT_TRUE(runtime_drained());
 }
 
-TEST(ClientServer, PostBodyEcho) {
-  Router router;
-  router.add("POST", "/echo", [](const Request& req, const RequestContext&) {
-    Response r = Response::json(200, to_string(req.body));
-    return r;
+TEST_F(ClientServer, PostBodyEcho) {
+  router_.add("POST", "/echo", [](const Request& req, const RequestContext&) {
+    return Response::json(200, to_string(req.body));
   });
-  auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&router, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router);
-  });
-  Client client(std::move(client_end));
+  Client client(connect());
   const auto res = client.post("/echo", R"({"x":1})");
   EXPECT_EQ(res.status, 200);
   EXPECT_EQ(to_string(res.body), R"({"x":1})");
   client.close();
-  server.join();
 }
 
-TEST(ClientServer, HandlerExceptionBecomes500) {
-  Router router;
-  router.add("GET", "/boom", [](const Request&, const RequestContext&) -> Response {
+TEST_F(ClientServer, HandlerExceptionBecomes500) {
+  router_.add("GET", "/boom", [](const Request&, const RequestContext&) -> Response {
     throw std::runtime_error("kaboom");
   });
-  auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&router, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router);
-  });
-  Client client(std::move(client_end));
+  Client client(connect());
+  EXPECT_EQ(client.get("/boom").status, 500);
+  // The connection survives a handler failure.
   EXPECT_EQ(client.get("/boom").status, 500);
   client.close();
-  server.join();
 }
 
-TEST(ClientServer, MalformedRequestGets400) {
-  Router router;
-  auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&router, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router);
-  });
+TEST_F(ClientServer, MalformedRequestGets400) {
+  auto client_end = connect();
   client_end->write(to_bytes("BAD\r\n\r\n"));
   Connection conn(*client_end);
   const auto res = conn.read_response();
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->status, 400);
+  // A parse error closes the connection.
+  EXPECT_TRUE(runtime_drained());
   client_end->close();
-  server.join();
 }
 
-TEST(ClientServer, ConnectionCloseHonored) {
-  Router router;
-  router.add("GET", "/x", [](const Request&, const RequestContext&) {
+TEST_F(ClientServer, ConnectionCloseHonored) {
+  router_.add("GET", "/x", [](const Request&, const RequestContext&) {
     return Response::text(200, "bye");
-  });
-  auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&router, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router);
   });
   Request req;
   req.target = "/x";
   req.headers.set("Connection", "close");
-  Client client(std::move(client_end));
+  Client client(connect());
   const auto res = client.request(req);
   EXPECT_EQ(res.status, 200);
   EXPECT_EQ(res.headers.get("Connection").value_or(""), "close");
-  server.join();  // server loop must have exited
+  // The runtime closes its side, and the client then reads EOF.
+  EXPECT_TRUE(runtime_drained());
+  std::uint8_t byte = 0;
+  EXPECT_EQ(client.stream().read(std::span<std::uint8_t>(&byte, 1)), 0u);
   client.close();
 }
 
-TEST(ClientServer, ContextIdentityVisibleToHandler) {
-  Router router;
-  router.add("GET", "/whoami", [](const Request&, const RequestContext& ctx) {
+TEST_F(ClientServer, ContextIdentityVisibleToHandler) {
+  router_.add("GET", "/whoami", [](const Request&, const RequestContext& ctx) {
     return Response::text(200, ctx.client_identity);
   });
-  auto [client_end, server_end] = net::make_pipe();
-  RequestContext ctx;
-  ctx.client_identity = "CN=vnf-1";
-  std::thread server([&router, ctx, s = std::move(server_end)]() mutable {
-    serve_connection(*s, router, ctx);
-  });
-  Client client(std::move(client_end));
+  Client client(connect([](net::StreamPtr stream, RequestContext& ctx) {
+    ctx.client_identity = "CN=vnf-1";
+    return stream;
+  }));
   EXPECT_EQ(to_string(client.get("/whoami").body), "CN=vnf-1");
   client.close();
-  server.join();
 }
 
 }  // namespace
@@ -316,11 +323,9 @@ class PoolFixture : public ::testing::Test {
                 [this](const Request&, const RequestContext&) {
                   return Response::text(200, std::to_string(++hits_));
                 });
-    net_.serve("origin:80", [this](net::StreamPtr s) {
-      serve_connection(*s, router_);
-    });
+    runtime_.listen_inmemory(net_, "origin:80",
+                             make_http_driver_factory(router_));
   }
-  ~PoolFixture() override { net_.join_all(); }
 
   ClientPool::Connect connect() {
     return [this] { return net_.connect("origin:80"); };
@@ -329,6 +334,9 @@ class PoolFixture : public ::testing::Test {
   Router router_;
   std::atomic<int> hits_{0};
   net::InMemoryNetwork net_;
+  net::ServerRuntime runtime_{{.workers = 4,
+                               .burst_read_timeout = std::chrono::seconds(5),
+                               .name = "test-pool"}};
 };
 
 TEST_F(PoolFixture, SequentialRequestsReuseOneConnection) {
@@ -372,22 +380,30 @@ TEST_F(PoolFixture, StaleKeepAliveConnectionRetriedOnce) {
   // First exchange parks an idle connection; the server then closes it.
   // The next request must transparently re-dial instead of failing.
   std::atomic<bool> close_after{true};
-  Router one_shot;
-  one_shot.add("GET", "/x", [](const Request&, const RequestContext&) {
+  router_.add("GET", "/x", [](const Request&, const RequestContext&) {
     return Response::text(200, "ok");
   });
-  net_.serve("flaky:80", [&](net::StreamPtr s) {
-    // Serve exactly one request, then drop the connection.
-    if (close_after.load()) {
-      auto req = Connection(*s).read_request();
-      (void)req;
-      Response res = Response::text(200, "ok");
-      Connection(*s).write(res);
-      s->close();
-    } else {
-      serve_connection(*s, one_shot);
+  // Answers exactly one request, then drops the connection.
+  struct OneShotDriver final : net::ConnectionDriver {
+    explicit OneShotDriver(net::StreamPtr s) : stream(std::move(s)) {}
+    net::BurstResult on_readable() override {
+      Connection conn(*stream);
+      (void)conn.read_request();
+      conn.write(Response::text(200, "ok"));
+      return net::BurstResult::kClose;
     }
-  });
+    net::StreamPtr stream;
+  };
+  const net::DriverFactory keep_alive = make_http_driver_factory(router_);
+  runtime_.listen_inmemory(
+      net_, "flaky:80",
+      [&close_after, keep_alive](
+          net::StreamPtr s) -> std::unique_ptr<net::ConnectionDriver> {
+        if (close_after.load()) {
+          return std::make_unique<OneShotDriver>(std::move(s));
+        }
+        return keep_alive(std::move(s));
+      });
 
   ClientPool pool([this] { return net_.connect("flaky:80"); });
   Request req;

@@ -2,14 +2,15 @@
 // revocation, report signing, and the REST front-end.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/hex.h"
 #include "common/sim_clock.h"
 #include "crypto/random.h"
+#include "http/client.h"
+#include "http/runtime.h"
 #include "ias/http_api.h"
-#include "net/inmemory.h"
+#include "net/server.h"
 #include "sgx/platform.h"
+#include "testbed/testbed.h"
 
 namespace vnfsgx::ias {
 namespace {
@@ -27,13 +28,25 @@ class ReportLogic final : public sgx::TrustedLogic {
   }
 };
 
+/// The testbed's IAS (served at testbed::kIasAddress) plus a bare SGX
+/// platform whose quotes the tests submit.
 class IasFixture : public ::testing::Test {
  protected:
-  IasFixture() : rng_(21), clock_(1'700'000'000), ias_(rng_, clock_) {
-    sgx::PlatformOptions options;
-    options.crossing_cost = std::chrono::nanoseconds(0);
-    platform_ = std::make_unique<sgx::SgxPlatform>(rng_, "host", options);
-    vendor_ = crypto::ed25519_generate(rng_);
+  IasFixture()
+      : rng_(bed_.rng),
+        clock_(bed_.clock),
+        ias_(bed_.ias),
+        platform_(std::make_unique<sgx::SgxPlatform>(rng_, "host",
+                                                     sgx::PlatformOptions{})),
+        vendor_(bed_.vendor) {}
+
+  IasClient ias_client(const std::string& address = testbed::kIasAddress) {
+    return IasClient([this, address] { return bed_.net.connect(address); },
+                     ias_.report_signing_key());
+  }
+
+  http::Client http_client() {
+    return http::Client(bed_.net.connect(testbed::kIasAddress));
   }
 
   sgx::Quote make_quote() {
@@ -55,11 +68,12 @@ class IasFixture : public ::testing::Test {
                            platform_->quoting_enclave().attestation_public_key());
   }
 
-  DeterministicRandom rng_;
-  SimClock clock_;
-  IasService ias_;
+  testbed::Testbed bed_;
+  crypto::RandomSource& rng_;
+  SimClock& clock_;
+  IasService& ias_;
   std::unique_ptr<sgx::SgxPlatform> platform_;
-  crypto::Ed25519KeyPair vendor_;
+  crypto::Ed25519KeyPair& vendor_;
 };
 
 TEST_F(IasFixture, OkForRegisteredPlatform) {
@@ -123,57 +137,37 @@ TEST_F(IasFixture, ReportIdsIncrement) {
 
 TEST_F(IasFixture, HttpApiEndToEnd) {
   register_platform();
-  http::Router router = make_ias_router(ias_);
-  net::InMemoryNetwork net;
-  net.serve("ias:443", [&router](net::StreamPtr s) {
-    http::serve_connection(*s, router);
-  });
-
-  IasClient client([&net] { return net.connect("ias:443"); },
-                   ias_.report_signing_key());
+  IasClient client = ias_client();
   const auto avr = client.verify_quote(make_quote().encode());
   EXPECT_EQ(avr.status(), QuoteStatus::kOk);
-  net.join_all();
 }
 
 TEST_F(IasFixture, HttpApiRejectsBadRequests) {
-  http::Router router = make_ias_router(ias_);
-  net::InMemoryNetwork net;
-  net.serve("ias:443", [&router](net::StreamPtr s) {
-    http::serve_connection(*s, router);
-  });
-
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     EXPECT_EQ(c.post("/attestation/v4/report", "not json").status, 400);
     c.close();
   }
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     EXPECT_EQ(c.post("/attestation/v4/report", R"({"x":1})").status, 400);
     c.close();
   }
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     EXPECT_EQ(c.post("/attestation/v4/report",
                      R"({"isvEnclaveQuote":"!!!!"})").status, 400);
     c.close();
   }
-  net.join_all();
 }
 
 TEST_F(IasFixture, SigrlEndpoint) {
   register_platform();
-  http::Router router = make_ias_router(ias_);
-  net::InMemoryNetwork net;
-  net.serve("ias:443", [&router](net::StreamPtr s) {
-    http::serve_connection(*s, router);
-  });
 
   const std::string id_hex =
       to_hex(ByteView(platform_->platform_id().data(), 16));
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     const auto res = c.get("/attestation/v4/sigrl/" + id_hex);
     EXPECT_EQ(res.status, 200);
     EXPECT_FALSE(json::parse(vnfsgx::to_string(res.body)).at("revoked").as_bool());
@@ -181,17 +175,16 @@ TEST_F(IasFixture, SigrlEndpoint) {
   }
   ias_.revoke_platform(platform_->platform_id());
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     const auto res = c.get("/attestation/v4/sigrl/" + id_hex);
     EXPECT_TRUE(json::parse(vnfsgx::to_string(res.body)).at("revoked").as_bool());
     c.close();
   }
   {
-    http::Client c(net.connect("ias:443"));
+    http::Client c = http_client();
     EXPECT_EQ(c.get("/attestation/v4/sigrl/zz").status, 400);
     c.close();
   }
-  net.join_all();
 }
 
 TEST_F(IasFixture, IasClientRejectsForgedSignature) {
@@ -202,15 +195,12 @@ TEST_F(IasFixture, IasClientRejectsForgedSignature) {
   rogue.register_platform(platform_->platform_id(),
                           platform_->quoting_enclave().attestation_public_key());
   http::Router router = make_ias_router(rogue);
-  net::InMemoryNetwork net;
-  net.serve("ias:443", [&router](net::StreamPtr s) {
-    http::serve_connection(*s, router);
-  });
+  net::ServerRuntime rogue_runtime({.name = "test-rogue-ias"});
+  rogue_runtime.listen_inmemory(bed_.net, "rogue-ias:443",
+                                http::make_http_driver_factory(router));
   // Client pins the *real* service's key.
-  IasClient client([&net] { return net.connect("ias:443"); },
-                   ias_.report_signing_key());
+  IasClient client = ias_client("rogue-ias:443");
   EXPECT_THROW(client.verify_quote(make_quote().encode()), ProtocolError);
-  net.join_all();
 }
 
 }  // namespace

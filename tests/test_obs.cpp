@@ -8,19 +8,12 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "common/sim_clock.h"
-#include "controller/controller.h"
-#include "core/host_agent.h"
-#include "core/verification_manager.h"
-#include "core/vm_api.h"
-#include "crypto/random.h"
 #include "http/client.h"
-#include "ias/http_api.h"
 #include "json/json.h"
-#include "net/inmemory.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "testbed/testbed.h"
 #include "vnf/functions.h"
 
 namespace vnfsgx::obs {
@@ -505,55 +498,17 @@ TEST_F(LoggingTest, ConcurrentWritersDoNotRace) {
 namespace vnfsgx::core {
 namespace {
 
-sgx::PlatformOptions fast_sgx() {
-  sgx::PlatformOptions o;
-  o.crossing_cost = std::chrono::nanoseconds(0);
-  return o;
-}
-
+/// The shared Figure-1 testbed with one golden-enrolled host and the
+/// VM's operator API served.
 class ObsFigure1Testbed : public ::testing::Test {
  protected:
-  ObsFigure1Testbed()
-      : rng_(61),
-        clock_(1'700'000'000),
-        ias_(rng_, clock_),
-        ias_router_(ias::make_ias_router(ias_)),
-        vendor_(crypto::ed25519_generate(rng_)),
-        host_("host-1", rng_, fast_sgx()),
-        vm_(rng_, clock_,
-            ias::IasClient([this] { return net_.connect("ias:443"); },
-                           ias_.report_signing_key())),
-        agent_(host_),
-        vm_router_(make_vm_router(vm_)) {
-    net_.serve("ias:443", [this](net::StreamPtr s) {
-      http::serve_connection(*s, ias_router_);
-    });
-    net_.serve("host-1:7000",
-               [this](net::StreamPtr s) { agent_.serve(std::move(s)); });
-    net_.serve("vm:8081", [this](net::StreamPtr s) {
-      http::serve_connection(*s, vm_router_);
-    });
-
-    host_.boot();
-    host_.load_attestation_enclave(vendor_.seed);
-    ias_.register_platform(
-        host_.sgx().platform_id(),
-        host_.sgx().quoting_enclave().attestation_public_key());
-    vm_.appraisal().learn(host_.ima().list());
+  ObsFigure1Testbed() : sim_(bed_.add_host("host-1")) {
+    bed_.serve_vm_api();
+    bed_.learn_golden(sim_);
   }
 
-  ~ObsFigure1Testbed() override { net_.join_all(); }
-
-  crypto::DeterministicRandom rng_;
-  SimClock clock_;
-  net::InMemoryNetwork net_;
-  ias::IasService ias_;
-  http::Router ias_router_;
-  crypto::Ed25519KeyPair vendor_;
-  host::ContainerHost host_;
-  VerificationManager vm_;
-  HostAgent agent_;
-  http::Router vm_router_;
+  testbed::Testbed bed_;
+  testbed::SimHost& sim_;
 };
 
 std::uint64_t counter_value(const char* name, const obs::Labels& labels) {
@@ -564,27 +519,14 @@ std::uint64_t counter_value(const char* name, const obs::Labels& labels) {
 TEST_F(ObsFigure1Testbed, MetricsEndpointReflectsOneFullRun) {
   // Deploy the VNF and the controller first: setup traffic (controller
   // certificate issuance) must not pollute the per-run numbers.
-  vnf::Vnf vnf("vnf-1", host_, vendor_.seed,
+  vnf::Vnf vnf("vnf-1", *sim_.machine, bed_.vendor.seed,
                std::make_unique<vnf::FirewallFunction>());
-  agent_.register_vnf(vnf);
-  vm_.appraisal().learn(host_.ima().list());
+  sim_.agent->register_vnf(vnf);
+  bed_.learn_golden(sim_);
 
   dataplane::Fabric fabric;
   fabric.add_switch(1);
-  const auto controller_kp = crypto::ed25519_generate(rng_);
-  controller::ControllerConfig cfg;
-  cfg.mode = controller::SecurityMode::kTrustedHttps;
-  cfg.certificate = vm_.ca().issue(
-      {"controller", ""}, controller_kp.public_key,
-      static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth));
-  cfg.signer = tls::Config::software_signer(controller_kp.seed);
-  cfg.clock = &clock_;
-  cfg.rng = &rng_;
-  controller::Controller controller(cfg, fabric);
-  controller.trust_ca(vm_.ca_certificate());
-  net_.serve("controller:8443", [&controller](net::StreamPtr s) {
-    controller.serve(std::move(s));
-  });
+  bed_.start_controller(fabric, controller::SecurityMode::kTrustedHttps);
 
   // Zero every instrument and drop setup spans: from here on, the global
   // registry holds exactly one Figure-1 run.
@@ -592,14 +534,16 @@ TEST_F(ObsFigure1Testbed, MetricsEndpointReflectsOneFullRun) {
   obs::tracer().clear();
 
   // Steps 1-5.
-  auto ch = net_.connect("host-1:7000");
-  ASSERT_TRUE(vm_.attest_host(*ch).trustworthy);
-  ASSERT_TRUE(vm_.attest_vnf(*ch, "vnf-1").trustworthy);
-  ASSERT_TRUE(vm_.enroll_vnf(*ch, "vnf-1", "vnf-1").has_value());
+  core::VerificationManager& vm = bed_.vm;
+  auto ch = bed_.agent_channel(sim_);
+  ASSERT_TRUE(vm.attest_host(*ch).trustworthy);
+  ASSERT_TRUE(vm.attest_vnf(*ch, "vnf-1").trustworthy);
+  ASSERT_TRUE(vm.enroll_vnf(*ch, "vnf-1", "vnf-1").has_value());
 
   // Step 6: in-enclave TLS to the controller, one REST request.
-  vnf.credentials().tls_open(net_.connect("controller:8443"), clock_.now(),
-                             "controller", vm_.ca_certificate());
+  vnf.credentials().tls_open(bed_.net.connect(testbed::kControllerAddress),
+                             bed_.clock.now(), "controller",
+                             vm.ca_certificate());
   vnf::EnclaveTlsStream tunnel(vnf.credentials());
   http::Connection conn(tunnel);
   http::Request push;
@@ -643,7 +587,7 @@ TEST_F(ObsFigure1Testbed, MetricsEndpointReflectsOneFullRun) {
   EXPECT_EQ(steps, (std::set<int>{1, 2, 3, 4, 5, 6}));
 
   // The same numbers through the operator endpoint, Prometheus-formatted.
-  http::Client scrape(net_.connect("vm:8081"));
+  http::Client scrape(bed_.net.connect(testbed::kVmAddress));
   const auto res = scrape.get("/vm/metrics");
   EXPECT_EQ(res.status, 200);
   const std::string text = vnfsgx::to_string(res.body);

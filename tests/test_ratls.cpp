@@ -16,6 +16,7 @@
 #include "ias/service.h"
 #include "json/json.h"
 #include "net/inmemory.h"
+#include "net/server.h"
 #include "pki/ca.h"
 #include "ratls/evidence.h"
 #include "ratls/issue.h"
@@ -287,10 +288,10 @@ TEST_F(RatlsFixture, FirstContactEnrollmentOverOneConnection) {
   pki::TrustStore client_trust;
   client_trust.add_root(ca_.root_certificate());
 
+  net::ServerRuntime runtime({.burst_read_timeout = std::chrono::seconds(10),
+                              .name = "test-ratls"});
   auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&ctrl, s = std::move(server_end)]() mutable {
-    ctrl.serve(std::move(s));
-  });
+  runtime.adopt(std::move(server_end), ctrl.driver_factory());
 
   tls::Config tls_cfg = ratls_tls_config(vnf, cert, &client_trust);
   tls_cfg.expected_server_name = "controller";
@@ -301,7 +302,7 @@ TEST_F(RatlsFixture, FirstContactEnrollmentOverOneConnection) {
   EXPECT_EQ(body.at("status").as_string(), "enrolled");
   EXPECT_EQ(body.at("identity").as_string(), "vnf-1");
   client.close();
-  server.join();
+  runtime.shutdown();  // every server-side burst has finished
 
   ASSERT_EQ(ctrl.enrolled_identities().size(), 1u);
   EXPECT_EQ(ctrl.enrolled_identities()[0], "vnf-1");
@@ -338,10 +339,10 @@ TEST_F(RatlsFixture, UnattestedClientCannotEnroll) {
   pki::TrustStore client_trust;
   client_trust.add_root(ca_.root_certificate());
 
+  net::ServerRuntime runtime({.burst_read_timeout = std::chrono::seconds(10),
+                              .name = "test-ratls"});
   auto [client_end, server_end] = net::make_pipe();
-  std::thread server([&ctrl, s = std::move(server_end)]() mutable {
-    ctrl.serve(std::move(s));
-  });
+  runtime.adopt(std::move(server_end), ctrl.driver_factory());
   tls::Config tls_cfg;
   tls_cfg.certificate = client_cert;
   tls_cfg.signer = tls::Config::software_signer(client_kp.seed);
@@ -351,7 +352,7 @@ TEST_F(RatlsFixture, UnattestedClientCannotEnroll) {
   http::Client client(tls::Session::connect(std::move(client_end), tls_cfg));
   EXPECT_EQ(client.post("/wm/vnfsgx/enroll/json", "{}").status, 403);
   client.close();
-  server.join();
+  runtime.shutdown();
   EXPECT_TRUE(ctrl.enrolled_identities().empty());
 }
 

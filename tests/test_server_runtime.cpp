@@ -1,5 +1,5 @@
 // ServerRuntime tests: the epoll/pipe reactor + bounded worker pool that
-// replaced thread-per-connection serving (PR 4).
+// serves every listening surface.
 //
 //  * Stress: >= 512 concurrent keep-alive clients against the controller in
 //    all three §3 security modes — zero dropped requests, worker count
@@ -181,10 +181,8 @@ TEST_F(ServerRuntimeFixture, StressKeepAliveClientsAllModes) {
       phase_cv.wait(lock, [&] { return holding == kClientThreads; });
     }
     EXPECT_EQ(runtime.active_connections(), kConnections);
-    // The whole fleet is served by the bounded pool — no thread per
-    // connection anywhere (kInline serving spawns none), and never more
+    // The whole fleet is served by the bounded pool, never with more
     // workers busy than the pool owns.
-    EXPECT_EQ(net.live_connection_threads(), 0u);
     const std::size_t pool_bound = std::max<std::size_t>(
         2, 2 * std::thread::hardware_concurrency());
     EXPECT_LE(runtime.worker_count(), pool_bound);
@@ -327,35 +325,6 @@ TEST_F(ServerRuntimeFixture, ShutdownClosesParkedConnections) {
   runtime.reset();
 }
 
-TEST_F(ServerRuntimeFixture, BlockingDriverServesWholeConversation) {
-  InMemoryNetwork net;
-  ServerRuntime runtime({.workers = 2,
-                         .burst_read_timeout = std::chrono::milliseconds(100),
-                         .name = "test-blocking"});
-  // An echo protocol where the server answers until EOF — the classic
-  // blocking serve(stream) shape (like the host agent's attestation RPC).
-  runtime.listen_inmemory(net, "echo:1", blocking_driver([](Stream& s) {
-    while (true) {
-      std::uint8_t byte = 0;
-      if (s.read(std::span<std::uint8_t>(&byte, 1)) == 0) return;
-      s.write(ByteView(&byte, 1));
-    }
-  }));
-
-  auto stream = net.connect("echo:1");
-  // The conversation out-lives many burst deadlines: blocking drivers lift
-  // the deadline because the protocol paces itself.
-  for (int i = 0; i < 3; ++i) {
-    const std::uint8_t out = static_cast<std::uint8_t>(i + 1);
-    stream->write(ByteView(&out, 1));
-    std::uint8_t in = 0;
-    ASSERT_EQ(stream->read(std::span<std::uint8_t>(&in, 1)), 1u);
-    EXPECT_EQ(in, out);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  }
-  stream->close();
-}
-
 // ---------------------------------------------------------------------------
 // Frame driver: framed channels park between frames instead of pinning a
 // worker for the connection's lifetime.
@@ -371,10 +340,10 @@ TEST_F(ServerRuntimeFixture, FrameChannelsHeldOpenDoNotPinWorkers) {
                             return Bytes(request.begin(), request.end());
                           }));
 
-  // Three times as many live channels as workers. A blocking driver would
-  // pin a worker per channel from its first byte and deadlock on the third
-  // channel's first round trip; framed channels release the worker after
-  // every frame.
+  // Three times as many live channels as workers. A driver that held its
+  // conversation would pin a worker per channel from its first byte and
+  // deadlock on the third channel's first round trip; framed channels
+  // release the worker after every frame.
   std::vector<StreamPtr> channels;
   for (int i = 0; i < 6; ++i) channels.push_back(net.connect("agent:7000"));
   for (int round = 0; round < 3; ++round) {
@@ -453,7 +422,9 @@ TEST_F(ServerRuntimeFixture, ShardedRuntimeBalancesAndParksConnections) {
     EXPECT_EQ(conns.back().get("/wm/core/controller/summary/json").status, 200);
   }
   EXPECT_EQ(runtime.active_connections(), static_cast<std::size_t>(kConns));
-  EXPECT_EQ(net.live_connection_threads(), 0u);
+  // 32 connections, and still only the pool's 4 workers ever ran bursts.
+  EXPECT_EQ(runtime.worker_count(), 4u);
+  EXPECT_LE(runtime.peak_busy_workers(), runtime.worker_count());
 
   // Round-robin shard assignment: an even split, not a hot shard.
   const auto per_shard = runtime.connections_per_shard();

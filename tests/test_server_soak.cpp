@@ -104,7 +104,9 @@ TEST(ServerSoak, TenThousandChannelsParkReacquireServe) {
   }
   EXPECT_EQ(ok.load(), conns) << "round 1 dropped requests";
   EXPECT_EQ(runtime.active_connections(), static_cast<std::size_t>(conns));
-  EXPECT_EQ(net.live_connection_threads(), 0u);
+  // Every connection is served by the pool's 4 workers, none by its own.
+  EXPECT_EQ(runtime.worker_count(), 4u);
+  EXPECT_LE(runtime.peak_busy_workers(), runtime.worker_count());
 
   // Round-robin sharding: the population splits evenly.
   const auto per_shard = runtime.connections_per_shard();

@@ -8,9 +8,11 @@
 #include "common/sim_clock.h"
 #include "crypto/random.h"
 #include "http/client.h"
+#include "http/runtime.h"
 #include "http/server.h"
 #include "net/buffer_pool.h"
 #include "net/inmemory.h"
+#include "net/server.h"
 #include "obs/metrics.h"
 #include "pki/ca.h"
 #include "tls/record.h"
@@ -279,20 +281,28 @@ TEST_F(TlsFixture, HttpOverTls) {
     return http::Response::text(200, ctx.client_identity);
   });
 
+  // The TLS accept runs as the HTTP driver's session wrap on the
+  // connection's first burst, as the controller's trusted-HTTPS mode does.
+  net::ServerRuntime runtime({.workers = 2,
+                              .burst_read_timeout = std::chrono::seconds(5),
+                              .name = "test-tls"});
   auto [client_end, server_end] = net::make_pipe();
-  std::thread server([this, &router, &server_id,
-                      s = std::move(server_end)]() mutable {
-    auto session = Session::accept(std::move(s), server_config(server_id, true));
-    http::RequestContext ctx;
-    ctx.client_identity = session->peer_certificate()->subject.common_name;
-    http::serve_connection(*session, router, ctx);
-  });
+  runtime.adopt(
+      std::move(server_end),
+      http::make_http_driver_factory(
+          router, [this, &server_id](net::StreamPtr s,
+                                     http::RequestContext& ctx) {
+            auto session =
+                Session::accept(std::move(s), server_config(server_id, true));
+            ctx.client_identity =
+                session->peer_certificate()->subject.common_name;
+            return session;
+          }));
 
   auto session = Session::connect(std::move(client_end), client_config(&client_id));
   http::Client client(std::move(session));
   EXPECT_EQ(to_string(client.get("/whoami").body), "vnf-9");
   client.close();
-  server.join();
 }
 
 TEST_F(TlsFixture, ParkReleasesBuffersAndUnparksOnUse) {
