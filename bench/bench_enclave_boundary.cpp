@@ -1,9 +1,8 @@
-// ENCL-BOUNDARY: quantifies the ECALL boundary disciplines the switchless
-// runtime adds (ROADMAP item 2, HotCalls / Snort-SGX motivation):
+// ENCL-BOUNDARY: quantifies the two ECALL boundary disciplines
+// (HotCalls / Snort-SGX motivation):
 //
-//   * sync       — one full crossing per inspected frame (the seed behavior);
-//   * batched    — Enclave::call_batch amortizes one crossing over a burst;
-//   * switchless — the hostcall ring's resident worker, no per-job crossing.
+//   * sync       — one full crossing per inspected frame (Enclave::call);
+//   * switchless — a RingGroup's resident workers, no per-job crossing.
 //
 // Each mode pushes bursts of frames through the in-enclave signature-match
 // IDS at 64B/512B/1500B payloads with the simulator's default 2us crossing
@@ -125,16 +124,6 @@ BENCHMARK(BM_InspectSyncEcall)
     ->Arg(1500)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_InspectBatched(benchmark::State& state) {
-  run_inspection(state, vnf::InspectionClient::Mode::kBatched,
-                 "one crossing per 64-frame burst");
-}
-BENCHMARK(BM_InspectBatched)
-    ->Arg(64)
-    ->Arg(512)
-    ->Arg(1500)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_InspectSwitchless(benchmark::State& state) {
   run_inspection(state, vnf::InspectionClient::Mode::kSwitchless,
                  "hostcall ring, resident worker");
@@ -146,34 +135,22 @@ BENCHMARK(BM_InspectSwitchless)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectSwitchlessSweep(benchmark::State& state) {
-  // The PR-10 A/B matrix: frame size x ring count x wire codec. codec 0 is
-  // the PR-6 TLV format (per-frame heap encode, then a copy into the
-  // slot); codec 1 is the zero-copy FrameDescriptor serialized straight
-  // into the ring slot with the verdict collected in place.
+  // Frame size x ring count. Each frame is steered to its flow's ring, and
+  // the burst cycles over kFlows flows, so every ring gets work.
   vnf::InspectionClient::Options options;
   options.mode = vnf::InspectionClient::Mode::kSwitchless;
   options.rings = static_cast<std::size_t>(state.range(1));
-  options.codec = state.range(2) == 0 ? vnf::InspectionClient::Codec::kTlv
-                                      : vnf::InspectionClient::Codec::kZeroCopy;
   BoundaryBench bench(options);
-  std::string label = state.range(2) == 0 ? "tlv" : "zerocopy";
-  label += ", rings=" + std::to_string(state.range(1));
-  run_inspection_loop(state, bench, label);
+  run_inspection_loop(state, bench, "rings=" + std::to_string(state.range(1)));
 }
 BENCHMARK(BM_InspectSwitchlessSweep)
-    // Args: {frame bytes, rings, codec (0 = tlv, 1 = zerocopy)}.
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({512, 1, 0})
-    ->Args({512, 1, 1})
-    ->Args({512, 2, 0})
-    ->Args({512, 2, 1})
-    ->Args({1500, 1, 0})
-    ->Args({1500, 1, 1})
-    ->Args({1500, 2, 0})
-    ->Args({1500, 2, 1})
+    // Args: {frame bytes, rings}.
+    ->Args({64, 1})
+    ->Args({64, 2})
+    ->Args({512, 1})
+    ->Args({512, 2})
+    ->Args({1500, 1})
+    ->Args({1500, 2})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectOutsideEnclave(benchmark::State& state) {
@@ -232,13 +209,6 @@ void BM_RawBoundaryEcho(benchmark::State& state) {
         benchmark::DoNotOptimize(bench.enclave->call(vnf::kOpFlowStats, {}));
         ++calls;
         break;
-      case vnf::InspectionClient::Mode::kBatched: {
-        std::vector<sgx::BatchCall> jobs(
-            kBurst, sgx::BatchCall{vnf::kOpFlowStats, {}});
-        benchmark::DoNotOptimize(bench.enclave->call_batch(jobs));
-        calls += kBurst;
-        break;
-      }
       case vnf::InspectionClient::Mode::kSwitchless:
         benchmark::DoNotOptimize(bench.client->flow_stats().inspected);
         ++calls;
@@ -251,13 +221,12 @@ void BM_RawBoundaryEcho(benchmark::State& state) {
       calls == 0 ? 0.0
                  : static_cast<double>(after.crossings - before.crossings) /
                        static_cast<double>(calls);
-  static const char* const kLabels[] = {"sync", "batched", "switchless"};
+  static const char* const kLabels[] = {"sync", "switchless"};
   state.SetLabel(kLabels[state.range(0)]);
 }
 BENCHMARK(BM_RawBoundaryEcho)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

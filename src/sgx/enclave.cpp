@@ -19,12 +19,6 @@ obs::Counter& ecall_sync_total() {
       "ECALL jobs dispatched as classic one-crossing-per-call ECALLs");
   return c;
 }
-obs::Counter& ecall_batched_total() {
-  static obs::Counter& c = obs::registry().counter(
-      "vnfsgx_ecall_batched_total", {},
-      "ECALL jobs dispatched via call_batch (one crossing per batch)");
-  return c;
-}
 obs::Counter& ecall_switchless_total() {
   static obs::Counter& c = obs::registry().counter(
       "vnfsgx_ecall_switchless_total", {},
@@ -189,60 +183,26 @@ Bytes Enclave::call(std::uint32_t opcode, ByteView input) {
     throw SecurityViolation("ECALL into destroyed enclave '" + name_ + "'");
   }
   platform_.charge_crossing();
-  ecall_count_.fetch_add(1, std::memory_order_relaxed);
+  ecall_count_.fetch_add(1, std::memory_order_release);
   note_dispatch(opcode, DispatchPath::kSync);
   const EnclaveEntryGuard guard(this);
   return logic_->handle_call(opcode, input, *services_);
 }
 
-std::vector<BatchResult> Enclave::call_batch(std::span<const BatchCall> jobs) {
-  if (destroyed_) {
-    throw SecurityViolation("batched ECALL into destroyed enclave '" + name_ +
-                            "'");
-  }
-  std::vector<BatchResult> results;
-  results.reserve(jobs.size());
-  if (jobs.empty()) return results;
-  // One crossing for the whole batch; per-job dispatch happens inside.
-  platform_.charge_crossing();
-  ecall_count_.fetch_add(1, std::memory_order_relaxed);
-  const EnclaveEntryGuard guard(this);
-  for (const BatchCall& job : jobs) {
-    // Copy the opcode in once: the job descriptors live in host-owned
-    // memory, and dispatching on a second read would let a concurrently
-    // scribbling host route the accounting and the handler differently.
-    const std::uint32_t opcode = job.opcode;
-    note_dispatch(opcode, DispatchPath::kBatched);
-    BatchResult r;
-    try {
-      r.output = logic_->handle_call(opcode, job.input, *services_);
-      r.ok = true;
-    } catch (const std::exception& e) {
-      r.ok = false;
-      r.error = e.what();
-    }
-    results.push_back(std::move(r));
-  }
-  return results;
-}
-
 EcallStats Enclave::ecall_stats() const {
-  // Publish/consume fence: writers use relaxed adds on hot paths, so make
-  // every count published before this snapshot visible to the caller. The
+  // Release adds pair with these acquire loads, so no fence is needed. The
   // counters are enclave-global, so N ring workers (RingGroup) aggregate
-  // here for free — one fence per snapshot, never one per ring.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // here for free.
   EcallStats stats;
-  stats.crossings = ecall_count_.load(std::memory_order_relaxed);
-  stats.sync_calls = sync_calls_.load(std::memory_order_relaxed);
-  stats.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
-  stats.switchless_jobs = switchless_jobs_.load(std::memory_order_relaxed);
+  stats.crossings = ecall_count_.load(std::memory_order_acquire);
+  stats.sync_calls = sync_calls_.load(std::memory_order_acquire);
+  stats.switchless_jobs = switchless_jobs_.load(std::memory_order_acquire);
   for (std::uint32_t op = 0; op < kTrackedOpcodes; ++op) {
-    const std::uint64_t n = opcode_counts_[op].load(std::memory_order_relaxed);
+    const std::uint64_t n = opcode_counts_[op].load(std::memory_order_acquire);
     if (n != 0) stats.per_opcode.emplace_back(op, n);
   }
   const std::uint64_t overflow =
-      opcode_counts_[kTrackedOpcodes].load(std::memory_order_relaxed);
+      opcode_counts_[kTrackedOpcodes].load(std::memory_order_acquire);
   if (overflow != 0) stats.per_opcode.emplace_back(kOpcodeOverflow, overflow);
   return stats;
 }
@@ -250,18 +210,14 @@ EcallStats Enclave::ecall_stats() const {
 void Enclave::note_dispatch(std::uint32_t opcode, DispatchPath path) {
   const std::uint32_t slot =
       opcode < kTrackedOpcodes ? opcode : kTrackedOpcodes;
-  opcode_counts_[slot].fetch_add(1, std::memory_order_relaxed);
+  opcode_counts_[slot].fetch_add(1, std::memory_order_release);
   switch (path) {
     case DispatchPath::kSync:
-      sync_calls_.fetch_add(1, std::memory_order_relaxed);
+      sync_calls_.fetch_add(1, std::memory_order_release);
       ecall_sync_total().add();
       break;
-    case DispatchPath::kBatched:
-      batched_jobs_.fetch_add(1, std::memory_order_relaxed);
-      ecall_batched_total().add();
-      break;
     case DispatchPath::kSwitchless:
-      switchless_jobs_.fetch_add(1, std::memory_order_relaxed);
+      switchless_jobs_.fetch_add(1, std::memory_order_release);
       ecall_switchless_total().add();
       break;
   }
@@ -285,7 +241,7 @@ EnclaveEntry::EnclaveEntry(Enclave& enclave) : enclave_(enclave) {
                             enclave_.name() + "'");
   }
   enclave_.platform_.charge_crossing();
-  enclave_.ecall_count_.fetch_add(1, std::memory_order_relaxed);
+  enclave_.ecall_count_.fetch_add(1, std::memory_order_release);
   t_enclave_stack.push_back(&enclave_);
 }
 

@@ -112,43 +112,21 @@ class TrustedLogic {
 
 using LogicFactory = std::function<std::unique_ptr<TrustedLogic>()>;
 
-/// One job of a batched ECALL: K of these amortize a single crossing.
-///
-/// boundary: shared — host-owned job descriptors the enclave reads while
-/// dispatching; trusted code must copy each field in once (boundarycheck B1).
-struct BatchCall {
-  std::uint32_t opcode = 0;
-  Bytes input;
-};
-
-/// Per-job outcome of a batched ECALL. Failures are isolated: one job
-/// throwing does not poison its batch siblings.
-///
-/// boundary: wire — written by the enclave, consumed host-side after the
-/// crossing; only the secret-egress rule (boundarycheck B4) applies.
-struct BatchResult {
-  bool ok = false;
-  Bytes output;
-  std::string error;  // what() of the job's exception when !ok
-};
-
 /// Coherent snapshot of an enclave's ECALL accounting (see ecall_stats()).
 struct EcallStats {
-  /// Boundary crossings: sync ECALLs + batch entries + switchless-worker
-  /// (re)entries. This is what the crossing cost is charged per.
+  /// Boundary crossings: sync ECALLs + switchless-worker (re)entries. This
+  /// is what the crossing cost is charged per.
   std::uint64_t crossings = 0;
   /// Jobs dispatched per path. sync_calls jobs paid one crossing each;
-  /// batched_jobs shared one crossing per batch; switchless_jobs crossed
-  /// only when their worker woke from a park.
+  /// switchless_jobs crossed only when their worker woke from a park.
   std::uint64_t sync_calls = 0;
-  std::uint64_t batched_jobs = 0;
   std::uint64_t switchless_jobs = 0;
   /// Dispatch counts keyed by opcode (all paths combined), ascending by
   /// opcode. Opcodes >= kTrackedOpcodes aggregate under kOpcodeOverflow.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> per_opcode;
 
   std::uint64_t dispatches() const {
-    return sync_calls + batched_jobs + switchless_jobs;
+    return sync_calls + switchless_jobs;
   }
 };
 
@@ -183,20 +161,16 @@ class Enclave {
   /// Throws SecurityViolation if the enclave has been destroyed.
   Bytes call(std::uint32_t opcode, ByteView input);
 
-  /// Batched ECALL: one boundary crossing amortized over all jobs. Each
-  /// job's failure is captured in its BatchResult rather than thrown, so a
-  /// bad job cannot abort its siblings mid-batch. Results are positional.
-  std::vector<BatchResult> call_batch(std::span<const BatchCall> jobs);
-
   /// Number of ECALL crossings so far (used by the overhead benchmarks).
   std::uint64_t ecall_count() const {
     return ecall_count_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot of the crossing/dispatch counters. Issues a fence before
-  /// reading so counts published by other threads (benchmark workers, the
-  /// switchless ring's enclave thread) are visible to before/after deltas;
-  /// prefer this over raw ecall_count() reads across threads.
+  /// Snapshot of the crossing/dispatch counters. Each counter is bumped
+  /// with a release RMW and read here with an acquire load, so a count
+  /// published by another thread (a benchmark worker, a ring's enclave
+  /// worker) carries everything that thread did before it; prefer this
+  /// over raw ecall_count() reads across threads.
   EcallStats ecall_stats() const;
 
   /// EREMOVE: tear down; EPC pages are freed and further calls throw.
@@ -218,7 +192,7 @@ class Enclave {
 
   class ServicesImpl;
 
-  enum class DispatchPath { kSync, kBatched, kSwitchless };
+  enum class DispatchPath { kSync, kSwitchless };
   void note_dispatch(std::uint32_t opcode, DispatchPath path);
 
   SgxPlatform& platform_;
@@ -229,7 +203,6 @@ class Enclave {
   std::size_t epc_bytes_;
   std::atomic<std::uint64_t> ecall_count_{0};
   std::atomic<std::uint64_t> sync_calls_{0};
-  std::atomic<std::uint64_t> batched_jobs_{0};
   std::atomic<std::uint64_t> switchless_jobs_{0};
   // Per-opcode dispatch counts; slot kTrackedOpcodes is the overflow bin.
   std::array<std::atomic<std::uint64_t>, kTrackedOpcodes + 1> opcode_counts_{};

@@ -1,7 +1,12 @@
 #include "sgx/hostcall.h"
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -31,7 +36,108 @@ std::size_t round_up_pow2(std::size_t n) {
 
 std::atomic<std::uint64_t> g_next_group_id{1};
 
+Error payload_too_big(std::size_t len) {
+  return Error("hostcall: payload of " + std::to_string(len) +
+               " bytes exceeds ring limit of " +
+               std::to_string(kMaxHostCallPayload));
+}
+
 }  // namespace
+
+// One ring of the group: a power-of-two array of slots in untrusted shared
+// memory plus the resident enclave worker that drains it.
+//
+// Statistics counters are bumped with release RMWs and read with acquire
+// loads: a snapshot that observes a count also observes everything its
+// writer did before that bump, with no fence on either side.
+class RingGroup::Ring {
+ public:
+  Ring(std::uint32_t index, std::shared_ptr<Enclave> enclave,
+       const RingGroupOptions& options);
+  ~Ring() { stop(); }
+
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+
+  /// Claim a slot; `block` waits out a full ring (backpressure), otherwise
+  /// a full ring yields nullopt. Throws Error once stopped.
+  std::optional<SubmitHandle> claim(std::uint32_t opcode, bool block);
+  void publish(std::uint32_t slot, std::size_t payload_len);
+  void abandon(std::uint32_t slot);
+  std::size_t wait_into(std::uint32_t slot, std::span<std::uint8_t> out);
+
+  void stop();
+  bool stopped() const {
+    return !accepting_.load(std::memory_order_acquire);
+  }
+  std::size_t occupancy() const {
+    return occupancy_.load(std::memory_order_relaxed);
+  }
+  std::size_t capacity() const { return capacity_; }
+  const std::string& name() const { return name_; }
+  HostCallStats stats() const;
+
+ private:
+  struct Slot;
+  struct WorkerScratch;
+
+  Slot& slot_at(std::uint32_t slot, const char* what);
+  Slot* try_claim();
+  Slot& claim_slot();
+  void enter_submitter();
+  void leave_submitter();
+  void release_slot(Slot& slot);
+  void await_done(Slot& slot);
+  bool process_one(EnclaveEntry& entry, WorkerScratch& scratch);
+  void worker_main();
+  void set_occupancy_gauge();
+
+  std::uint32_t index_;
+  std::shared_ptr<Enclave> enclave_;
+  std::string name_;
+  int spin_polls_;
+  std::size_t capacity_ = 0;
+  std::size_t mask_ = 0;
+  std::unique_ptr<Slot[]> slots_;
+
+  std::atomic<bool> accepting_{true};
+  std::atomic<bool> running_{true};
+  std::atomic<std::size_t> occupancy_{0};
+  std::atomic<std::uint64_t> queued_{0};      // enqueued, not yet claimed
+  std::atomic<std::uint64_t> submitters_{0};  // threads holding slots/handles
+  std::atomic<std::uint32_t> claim_hint_{0};
+  std::size_t scan_ = 0;  // worker-only cursor
+
+  // Worker park/wake (the "classic ECALL wakeup" edge).
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  std::atomic<bool> parked_{false};
+
+  // Submitters blocked on a full ring (backpressure) or on a result.
+  std::mutex space_mutex_;
+  std::condition_variable space_cv_;
+  std::atomic<std::uint32_t> space_waiters_{0};
+  std::mutex done_mutex_;
+  std::condition_variable done_cv_;
+  std::atomic<std::uint32_t> done_waiters_{0};
+
+  // stop() rendezvous with in-flight submitters.
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;
+  std::once_flag stop_once_;
+
+  std::atomic<std::uint64_t> submits_{0};
+  std::atomic<std::uint64_t> jobs_{0};
+  std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> wakeups_{0};
+  std::atomic<std::uint64_t> backpressure_waits_{0};
+
+  // Cached metric instruments (registered once per ring name).
+  obs::Gauge* occupancy_gauge_ = nullptr;
+  obs::Counter* submits_counter_ = nullptr;
+
+  std::thread worker_;
+};
 
 // One ring slot. `state` is the synchronization point: every plain field is
 // written strictly before a release store of `state` and read strictly after
@@ -41,7 +147,7 @@ std::atomic<std::uint64_t> g_next_group_id{1};
 // boundary: shared — host-writable while the enclave reads it. boundarycheck
 // enforces copy-in-once (B1), bounds-before-use (B2), release/acquire on
 // `state` (B3), and no secret egress (B4) on every access to these fields.
-struct alignas(64) HostCallRing::Slot {
+struct alignas(64) RingGroup::Ring::Slot {
   std::atomic<std::uint32_t> state{kFree};
   std::uint32_t opcode = 0;
   std::uint32_t payload_len = 0;
@@ -56,36 +162,42 @@ struct alignas(64) HostCallRing::Slot {
 // Enclave-local fixed buffers the worker copies jobs into and results out
 // of. One instance lives on the worker's stack for its whole residency:
 // the switchless hot path allocates nothing per job on the trusted side.
-struct HostCallRing::WorkerScratch {
+struct RingGroup::Ring::WorkerScratch {
   std::array<std::uint8_t, kMaxHostCallPayload> input{};
   std::array<std::uint8_t, kMaxHostCallPayload> output{};
 };
 
-HostCallRing::HostCallRing(std::shared_ptr<Enclave> enclave,
-                           HostCallOptions options)
-    : enclave_(std::move(enclave)), options_(std::move(options)) {
-  if (!enclave_) throw Error("hostcall: null enclave");
-  capacity_ = round_up_pow2(std::max<std::size_t>(options_.ring_capacity, 2));
+RingGroup::Ring::Ring(std::uint32_t index, std::shared_ptr<Enclave> enclave,
+                      const RingGroupOptions& options)
+    : index_(index),
+      enclave_(std::move(enclave)),
+      name_(options.name + "/" + std::to_string(index)),
+      spin_polls_(options.spin_polls) {
+  capacity_ = round_up_pow2(std::max<std::size_t>(options.ring_capacity, 2));
   mask_ = capacity_ - 1;
   slots_ = std::make_unique<Slot[]>(capacity_);
   occupancy_gauge_ = &obs::registry().gauge(
-      "vnfsgx_hostcall_ring_occupancy", {{"ring", options_.name}},
+      "vnfsgx_hostcall_ring_occupancy", {{"ring", name_}},
       "Hostcall ring slots currently claimed, queued, executing, or "
       "holding an uncollected result");
   submits_counter_ = &obs::registry().counter(
-      "vnfsgx_hostcall_submits_total", {{"ring", options_.name}},
+      "vnfsgx_hostcall_submits_total", {{"ring", name_}},
       "Jobs published into this hostcall ring (copying and zero-copy)");
-  worker_ = std::thread(&HostCallRing::worker_main, this);
+  worker_ = std::thread(&Ring::worker_main, this);
 }
 
-HostCallRing::~HostCallRing() { stop(); }
-
-void HostCallRing::set_occupancy_gauge() {
+void RingGroup::Ring::set_occupancy_gauge() {
   occupancy_gauge_->set(
       static_cast<std::int64_t>(occupancy_.load(std::memory_order_relaxed)));
 }
 
-HostCallRing::Slot* HostCallRing::try_claim() {
+RingGroup::Ring::Slot& RingGroup::Ring::slot_at(std::uint32_t slot,
+                                                const char* what) {
+  if (slot >= capacity_) throw Error(std::string("hostcall: invalid ") + what);
+  return slots_[slot];
+}
+
+RingGroup::Ring::Slot* RingGroup::Ring::try_claim() {
   const std::uint32_t start = claim_hint_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < capacity_; ++i) {
     Slot& slot = slots_[(start + i) & mask_];
@@ -103,10 +215,10 @@ HostCallRing::Slot* HostCallRing::try_claim() {
   return nullptr;
 }
 
-HostCallRing::Slot& HostCallRing::claim_slot() {
+RingGroup::Ring::Slot& RingGroup::Ring::claim_slot() {
   if (Slot* slot = try_claim()) return *slot;
   // Ring full: backpressure. Block until a waiter frees a slot — never drop.
-  backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+  backpressure_waits_.fetch_add(1, std::memory_order_release);
   std::unique_lock<std::mutex> lk(space_mutex_);
   space_waiters_.fetch_add(1, std::memory_order_seq_cst);
   Slot* claimed = nullptr;
@@ -117,23 +229,23 @@ HostCallRing::Slot& HostCallRing::claim_slot() {
   });
   space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   if (claimed == nullptr) {
-    throw Error("hostcall: ring '" + options_.name + "' stopped");
+    throw Error("hostcall: ring '" + name_ + "' stopped");
   }
   return *claimed;
 }
 
-void HostCallRing::enter_submitter() {
+void RingGroup::Ring::enter_submitter() {
   submitters_.fetch_add(1, std::memory_order_seq_cst);
 }
 
-void HostCallRing::leave_submitter() {
+void RingGroup::Ring::leave_submitter() {
   if (submitters_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     std::lock_guard<std::mutex> lk(stop_mutex_);
     stop_cv_.notify_all();
   }
 }
 
-void HostCallRing::release_slot(Slot& slot) {
+void RingGroup::Ring::release_slot(Slot& slot) {
   slot.state.store(kFree, std::memory_order_release);
   occupancy_.fetch_sub(1, std::memory_order_relaxed);
   set_occupancy_gauge();
@@ -143,54 +255,24 @@ void HostCallRing::release_slot(Slot& slot) {
   }
 }
 
-void HostCallRing::publish_slot(Slot& slot, std::size_t payload_len) {
-  slot.payload_len = static_cast<std::uint32_t>(payload_len);
-  slot.state.store(kQueued, std::memory_order_release);
-  queued_.fetch_add(1, std::memory_order_seq_cst);
-  submits_.fetch_add(1, std::memory_order_relaxed);
-  submits_counter_->add();
-  // Classic-ECALL wakeup edge: only pay the lock when the worker is parked.
-  if (parked_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lk(wake_mutex_);
-    wake_cv_.notify_one();
-  }
-}
-
-HostCallRing::SubmitHandle HostCallRing::begin_submit(std::uint32_t opcode) {
+std::optional<RingGroup::SubmitHandle> RingGroup::Ring::claim(
+    std::uint32_t opcode, bool block) {
   // The submitter count stays elevated until publish()/abandon(): stop()
   // phase 2 must wait out claimed-but-unpublished handles too, or phase 3
   // could join the worker while a publish is still in flight.
   enter_submitter();
   try {
     if (!accepting_.load(std::memory_order_seq_cst)) {
-      throw Error("hostcall: ring '" + options_.name + "' stopped");
+      throw Error("hostcall: ring '" + name_ + "' stopped");
     }
-    Slot& slot = claim_slot();
-    slot.opcode = opcode;
-    return SubmitHandle{
-        static_cast<Ticket>(&slot - slots_.get()),
-        std::span<std::uint8_t>(slot.payload.data(), kMaxHostCallPayload)};
-  } catch (...) {
-    leave_submitter();
-    throw;
-  }
-}
-
-std::optional<HostCallRing::SubmitHandle> HostCallRing::try_begin_submit(
-    std::uint32_t opcode) {
-  enter_submitter();
-  try {
-    if (!accepting_.load(std::memory_order_seq_cst)) {
-      throw Error("hostcall: ring '" + options_.name + "' stopped");
-    }
-    Slot* slot = try_claim();
+    Slot* slot = block ? &claim_slot() : try_claim();
     if (slot == nullptr) {
       leave_submitter();
       return std::nullopt;
     }
     slot->opcode = opcode;
     return SubmitHandle{
-        static_cast<Ticket>(slot - slots_.get()),
+        Ticket{index_, static_cast<std::uint32_t>(slot - slots_.get())},
         std::span<std::uint8_t>(slot->payload.data(), kMaxHostCallPayload)};
   } catch (...) {
     leave_submitter();
@@ -198,49 +280,35 @@ std::optional<HostCallRing::SubmitHandle> HostCallRing::try_begin_submit(
   }
 }
 
-void HostCallRing::publish(const SubmitHandle& handle,
-                           std::size_t payload_len) {
-  if (handle.ticket >= capacity_) {
-    throw Error("hostcall: invalid submit handle");
-  }
-  Slot& slot = slots_[handle.ticket];
+void RingGroup::Ring::publish(std::uint32_t slot_index,
+                              std::size_t payload_len) {
+  Slot& slot = slot_at(slot_index, "submit handle");
   if (payload_len > kMaxHostCallPayload) {
     // The handle is consumed either way: free the slot so a bad length
     // cannot leak ring occupancy, then report the gate rejection.
     release_slot(slot);
     leave_submitter();
-    throw Error("hostcall: payload of " + std::to_string(payload_len) +
-                " bytes exceeds ring limit of " +
-                std::to_string(kMaxHostCallPayload));
+    throw payload_too_big(payload_len);
   }
-  publish_slot(slot, payload_len);
+  slot.payload_len = static_cast<std::uint32_t>(payload_len);
+  slot.state.store(kQueued, std::memory_order_release);
+  queued_.fetch_add(1, std::memory_order_seq_cst);
+  submits_.fetch_add(1, std::memory_order_release);
+  submits_counter_->add();
+  // Classic-ECALL wakeup edge: only pay the lock when the worker is parked.
+  if (parked_.load(std::memory_order_seq_cst)) {
+    std::lock_guard<std::mutex> lk(wake_mutex_);
+    wake_cv_.notify_one();
+  }
   leave_submitter();
 }
 
-void HostCallRing::abandon(const SubmitHandle& handle) {
-  if (handle.ticket >= capacity_) {
-    throw Error("hostcall: invalid submit handle");
-  }
-  release_slot(slots_[handle.ticket]);
+void RingGroup::Ring::abandon(std::uint32_t slot_index) {
+  release_slot(slot_at(slot_index, "submit handle"));
   leave_submitter();
 }
 
-HostCallRing::Ticket HostCallRing::submit(std::uint32_t opcode,
-                                          ByteView payload) {
-  if (payload.size() > kMaxHostCallPayload) {
-    throw Error("hostcall: payload of " + std::to_string(payload.size()) +
-                " bytes exceeds ring limit of " +
-                std::to_string(kMaxHostCallPayload));
-  }
-  const SubmitHandle handle = begin_submit(opcode);
-  if (!payload.empty()) {
-    std::memcpy(handle.payload.data(), payload.data(), payload.size());
-  }
-  publish(handle, payload.size());
-  return handle.ticket;
-}
-
-void HostCallRing::await_done(Slot& slot) {
+void RingGroup::Ring::await_done(Slot& slot) {
   for (int i = 0; i < kWaitSpinPolls; ++i) {
     if (slot.state.load(std::memory_order_acquire) == kDone) return;
     std::this_thread::yield();
@@ -258,35 +326,15 @@ void HostCallRing::await_done(Slot& slot) {
   }
 }
 
-Bytes HostCallRing::wait(Ticket ticket) {
-  if (ticket >= capacity_) throw Error("hostcall: invalid ticket");
-  Slot& slot = slots_[ticket];
+std::size_t RingGroup::Ring::wait_into(std::uint32_t slot_index,
+                                       std::span<std::uint8_t> out) {
+  Slot& slot = slot_at(slot_index, "ticket");
   await_done(slot);
   const std::uint32_t result_len = slot.result_len;
   const bool failed = slot.failed != 0;
   // The ring lives in shared memory: validate the copied length against the
   // slot capacity before it offsets anything, and free the slot either way
   // so a corrupted length cannot leak ring occupancy.
-  const bool length_ok = result_len <= kMaxHostCallPayload;
-  Bytes out;
-  if (length_ok) {
-    out.assign(slot.result.begin(), slot.result.begin() + result_len);
-  }
-  release_slot(slot);
-  if (!length_ok) {
-    throw Error("hostcall: result_len exceeds ring slot capacity");
-  }
-  if (failed) throw Error(std::string(out.begin(), out.end()));
-  return out;
-}
-
-std::size_t HostCallRing::wait_into(Ticket ticket,
-                                    std::span<std::uint8_t> out) {
-  if (ticket >= capacity_) throw Error("hostcall: invalid ticket");
-  Slot& slot = slots_[ticket];
-  await_done(slot);
-  const std::uint32_t result_len = slot.result_len;
-  const bool failed = slot.failed != 0;
   const bool length_ok = result_len <= kMaxHostCallPayload;
   const bool fits = length_ok && result_len <= out.size();
   // Copy everything needed out of the slot before releasing it: a released
@@ -310,79 +358,92 @@ std::size_t HostCallRing::wait_into(Ticket ticket,
   return result_len;
 }
 
-Bytes HostCallRing::call(std::uint32_t opcode, ByteView payload) {
-  return wait(submit(opcode, payload));
-}
-
-bool HostCallRing::process_one(EnclaveEntry& entry, WorkerScratch& scratch) {
+bool RingGroup::Ring::process_one(EnclaveEntry& entry,
+                                  WorkerScratch& scratch) {
+  std::size_t offset = capacity_;
   for (std::size_t i = 0; i < capacity_; ++i) {
-    Slot& slot = slots_[(scan_ + i) & mask_];
-    if (slot.state.load(std::memory_order_acquire) != kQueued) continue;
-    std::uint32_t expected = kQueued;
-    if (!slot.state.compare_exchange_strong(expected, kExecuting,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      continue;
+    if (slots_[(scan_ + i) & mask_].state.load(std::memory_order_acquire) ==
+        kQueued) {
+      offset = i;
+      break;
     }
-    scan_ = (scan_ + i + 1) & mask_;
-    queued_.fetch_sub(1, std::memory_order_seq_cst);
-
-    // Copy-in ONCE from the untrusted slot: each field is read exactly one
-    // time into an enclave-local value, then validated and used only via
-    // that copy. Trusted code never re-reads untrusted memory after a
-    // check, so a concurrently scribbling host cannot flip a validated
-    // length or opcode (the classic TOCTOU double-fetch). The payload is
-    // memcpy'd once into the worker's fixed scratch buffer and the result
-    // produced in place — no trusted-side allocation per job.
-    const std::uint32_t opcode_copy = slot.opcode;
-    const std::uint32_t payload_len_copy = slot.payload_len;
-    bool ok = false;
-    std::size_t reply_len = 0;
-    std::string error;
-    if (payload_len_copy > kMaxHostCallPayload) {
-      error = "hostcall: untrusted payload_len out of range";
-    } else {
-      if (payload_len_copy != 0) {
-        std::memcpy(scratch.input.data(), slot.payload.data(),
-                    payload_len_copy);
-      }
-      try {
-        reply_len = entry.dispatch_into(
-            opcode_copy, ByteView(scratch.input.data(), payload_len_copy),
-            std::span<std::uint8_t>(scratch.output));
-        ok = reply_len <= kMaxHostCallPayload;
-        if (!ok) error = "hostcall: trusted result exceeds ring slot capacity";
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-    }
-    if (ok) {
-      if (reply_len != 0) {
-        std::memcpy(slot.result.data(), scratch.output.data(), reply_len);
-      }
-    } else {
-      reply_len = std::min(error.size(), kMaxHostCallPayload);
-      if (reply_len != 0) {
-        std::memcpy(slot.result.data(), error.data(), reply_len);
-      }
-    }
-    slot.result_len = static_cast<std::uint32_t>(reply_len);
-    slot.failed = ok ? 0 : 1;
-    // bc-ok(B3): seq_cst required — StoreLoad ordering against the
-    // done_waiters_ load below (Dekker pattern): a plain release would let
-    // this store reorder after the waiter check and strand a sleeper.
-    slot.state.store(kDone, std::memory_order_seq_cst);
-    jobs_.fetch_add(1, std::memory_order_relaxed);
-    if (done_waiters_.load(std::memory_order_seq_cst) > 0) {
-      std::lock_guard<std::mutex> lk(done_mutex_);
-      done_cv_.notify_all();
-    }
-    return true;
   }
-  return false;
+  if (offset == capacity_) return false;
+  // A slot skipped above may have been published after it was looked at but
+  // before the one found. One thread publishes its slots in claim order, and
+  // the acquire above makes its earlier publications visible, so a second
+  // look at the skipped slots keeps each submitter's jobs in FIFO order.
+  for (std::size_t i = 0; i < offset; ++i) {
+    if (slots_[(scan_ + i) & mask_].state.load(std::memory_order_acquire) ==
+        kQueued) {
+      offset = i;
+      break;
+    }
+  }
+  Slot& slot = slots_[(scan_ + offset) & mask_];
+  std::uint32_t expected = kQueued;
+  if (!slot.state.compare_exchange_strong(expected, kExecuting,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return false;
+  }
+  scan_ = (scan_ + offset + 1) & mask_;
+  queued_.fetch_sub(1, std::memory_order_seq_cst);
+
+  // Copy-in ONCE from the untrusted slot: each field is read exactly one
+  // time into an enclave-local value, then validated and used only via
+  // that copy. Trusted code never re-reads untrusted memory after a
+  // check, so a concurrently scribbling host cannot flip a validated
+  // length or opcode (the classic TOCTOU double-fetch). The payload is
+  // memcpy'd once into the worker's fixed scratch buffer and the result
+  // produced in place — no trusted-side allocation per job.
+  const std::uint32_t opcode_copy = slot.opcode;
+  const std::uint32_t payload_len_copy = slot.payload_len;
+  bool ok = false;
+  std::size_t reply_len = 0;
+  std::string error;
+  if (payload_len_copy > kMaxHostCallPayload) {
+    error = "hostcall: untrusted payload_len out of range";
+  } else {
+    if (payload_len_copy != 0) {
+      std::memcpy(scratch.input.data(), slot.payload.data(),
+                  payload_len_copy);
+    }
+    try {
+      reply_len = entry.dispatch_into(
+          opcode_copy, ByteView(scratch.input.data(), payload_len_copy),
+          std::span<std::uint8_t>(scratch.output));
+      ok = reply_len <= kMaxHostCallPayload;
+      if (!ok) error = "hostcall: trusted result exceeds ring slot capacity";
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  }
+  if (ok) {
+    if (reply_len != 0) {
+      std::memcpy(slot.result.data(), scratch.output.data(), reply_len);
+    }
+  } else {
+    reply_len = std::min(error.size(), kMaxHostCallPayload);
+    if (reply_len != 0) {
+      std::memcpy(slot.result.data(), error.data(), reply_len);
+    }
+  }
+  slot.result_len = static_cast<std::uint32_t>(reply_len);
+  slot.failed = ok ? 0 : 1;
+  // bc-ok(B3): seq_cst required — StoreLoad ordering against the
+  // done_waiters_ load below (Dekker pattern): a plain release would let
+  // this store reorder after the waiter check and strand a sleeper.
+  slot.state.store(kDone, std::memory_order_seq_cst);
+  jobs_.fetch_add(1, std::memory_order_release);
+  if (done_waiters_.load(std::memory_order_seq_cst) > 0) {
+    std::lock_guard<std::mutex> lk(done_mutex_);
+    done_cv_.notify_all();
+  }
+  return true;
 }
 
-void HostCallRing::worker_main() {
+void RingGroup::Ring::worker_main() {
   WorkerScratch scratch;
   while (true) {
     {
@@ -399,11 +460,11 @@ void HostCallRing::worker_main() {
           // stop() already drained submitters; the ring is empty. Done.
           return;
         }
-        if (++empty_polls >= options_.spin_polls) break;
+        if (++empty_polls >= spin_polls_) break;
         std::this_thread::yield();
       }
     }  // exit the enclave before sleeping: idle enclaves burn no CPU
-    parks_.fetch_add(1, std::memory_order_relaxed);
+    parks_.fetch_add(1, std::memory_order_release);
     {
       std::unique_lock<std::mutex> lk(wake_mutex_);
       parked_.store(true, std::memory_order_seq_cst);
@@ -413,11 +474,11 @@ void HostCallRing::worker_main() {
       });
       parked_.store(false, std::memory_order_seq_cst);
     }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    wakeups_.fetch_add(1, std::memory_order_release);
   }
 }
 
-void HostCallRing::stop() {
+void RingGroup::Ring::stop() {
   std::call_once(stop_once_, [this] {
     // Phase 1: refuse new jobs and kick backpressure-blocked claimants.
     accepting_.store(false, std::memory_order_seq_cst);
@@ -444,13 +505,13 @@ void HostCallRing::stop() {
   });
 }
 
-HostCallStats HostCallRing::stats() const {
+HostCallStats RingGroup::Ring::stats() const {
   HostCallStats s;
-  s.submits = submits_.load(std::memory_order_relaxed);
-  s.jobs = jobs_.load(std::memory_order_relaxed);
-  s.parks = parks_.load(std::memory_order_relaxed);
-  s.wakeups = wakeups_.load(std::memory_order_relaxed);
-  s.backpressure_waits = backpressure_waits_.load(std::memory_order_relaxed);
+  s.submits = submits_.load(std::memory_order_acquire);
+  s.jobs = jobs_.load(std::memory_order_acquire);
+  s.parks = parks_.load(std::memory_order_acquire);
+  s.wakeups = wakeups_.load(std::memory_order_acquire);
+  s.backpressure_waits = backpressure_waits_.load(std::memory_order_acquire);
   return s;
 }
 
@@ -466,12 +527,8 @@ RingGroup::RingGroup(std::shared_ptr<Enclave> enclave,
   rings_.reserve(n);
   steal_counters_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    HostCallOptions ring_options;
-    ring_options.ring_capacity = options.ring_capacity;
-    ring_options.spin_polls = options.spin_polls;
-    ring_options.name = options.name + "/" + std::to_string(i);
-    rings_.push_back(
-        std::make_unique<HostCallRing>(enclave, std::move(ring_options)));
+    rings_.push_back(std::make_unique<Ring>(static_cast<std::uint32_t>(i),
+                                            enclave, options));
     steal_counters_.push_back(&obs::registry().counter(
         "vnfsgx_hostcall_steals_total", {{"ring", rings_.back()->name()}},
         "Slot claims diverted to this ring because the submitter's home "
@@ -480,6 +537,24 @@ RingGroup::RingGroup(std::shared_ptr<Enclave> enclave,
 }
 
 RingGroup::~RingGroup() { stop(); }
+
+std::size_t RingGroup::capacity() const { return rings_.front()->capacity(); }
+
+std::size_t RingGroup::occupancy() const {
+  std::size_t total = 0;
+  for (const auto& ring : rings_) total += ring->occupancy();
+  return total;
+}
+
+bool RingGroup::stopped() const { return rings_.front()->stopped(); }
+
+RingGroup::Ring& RingGroup::ring_at(std::uint32_t index,
+                                    const char* what) const {
+  if (index >= rings_.size()) {
+    throw Error(std::string("hostcall: invalid ") + what);
+  }
+  return *rings_[index];
+}
 
 std::size_t RingGroup::home_index() const {
   // Home-ring assignment is sticky per (thread, group): the first claim a
@@ -499,23 +574,22 @@ std::size_t RingGroup::home_index() const {
 
 RingGroup::SubmitHandle RingGroup::begin_submit(std::uint32_t opcode) {
   const std::size_t home = home_index();
-  if (auto handle = rings_[home]->try_begin_submit(opcode)) {
-    affinity_submits_.fetch_add(1, std::memory_order_relaxed);
-    return SubmitHandle{static_cast<std::uint32_t>(home), *handle};
+  if (auto handle = rings_[home]->claim(opcode, false)) {
+    affinity_submits_.fetch_add(1, std::memory_order_release);
+    return *handle;
   }
   // Home ring full: steal a slot from a sibling before blocking.
   for (std::size_t offset = 1; offset < rings_.size(); ++offset) {
     const std::size_t r = (home + offset) % rings_.size();
-    if (auto handle = rings_[r]->try_begin_submit(opcode)) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
+    if (auto handle = rings_[r]->claim(opcode, false)) {
+      steals_.fetch_add(1, std::memory_order_release);
       steal_counters_[r]->add();
-      return SubmitHandle{static_cast<std::uint32_t>(r), *handle};
+      return *handle;
     }
   }
   // Every ring full: backpressure on home (never drop).
-  affinity_submits_.fetch_add(1, std::memory_order_relaxed);
-  return SubmitHandle{static_cast<std::uint32_t>(home),
-                      rings_[home]->begin_submit(opcode)};
+  affinity_submits_.fetch_add(1, std::memory_order_release);
+  return *rings_[home]->claim(opcode, true);
 }
 
 RingGroup::SubmitHandle RingGroup::begin_submit_on(std::size_t ring_index,
@@ -523,46 +597,40 @@ RingGroup::SubmitHandle RingGroup::begin_submit_on(std::size_t ring_index,
   if (ring_index >= rings_.size()) {
     throw Error("hostcall: ring index out of range");
   }
-  return SubmitHandle{static_cast<std::uint32_t>(ring_index),
-                      rings_[ring_index]->begin_submit(opcode)};
+  return *rings_[ring_index]->claim(opcode, true);
 }
 
 void RingGroup::publish(const SubmitHandle& handle, std::size_t payload_len) {
-  if (handle.ring >= rings_.size()) {
-    throw Error("hostcall: invalid submit handle");
-  }
-  rings_[handle.ring]->publish(handle.inner, payload_len);
+  ring_at(handle.ticket.ring, "submit handle")
+      .publish(handle.ticket.slot, payload_len);
 }
 
 void RingGroup::abandon(const SubmitHandle& handle) {
-  if (handle.ring >= rings_.size()) {
-    throw Error("hostcall: invalid submit handle");
-  }
-  rings_[handle.ring]->abandon(handle.inner);
+  ring_at(handle.ticket.ring, "submit handle").abandon(handle.ticket.slot);
 }
 
 RingGroup::Ticket RingGroup::submit(std::uint32_t opcode, ByteView payload) {
   if (payload.size() > kMaxHostCallPayload) {
-    throw Error("hostcall: payload of " + std::to_string(payload.size()) +
-                " bytes exceeds ring limit of " +
-                std::to_string(kMaxHostCallPayload));
+    throw payload_too_big(payload.size());
   }
   const SubmitHandle handle = begin_submit(opcode);
   if (!payload.empty()) {
-    std::memcpy(handle.inner.payload.data(), payload.data(), payload.size());
+    std::memcpy(handle.payload.data(), payload.data(), payload.size());
   }
   publish(handle, payload.size());
-  return Ticket{handle.ring, handle.inner.ticket};
+  return handle.ticket;
 }
 
 Bytes RingGroup::wait(Ticket ticket) {
-  if (ticket.ring >= rings_.size()) throw Error("hostcall: invalid ticket");
-  return rings_[ticket.ring]->wait(ticket.slot);
+  // A slot never holds more than kMaxHostCallPayload result bytes, so this
+  // buffer always fits and wait_into's only failures are trusted ones.
+  std::array<std::uint8_t, kMaxHostCallPayload> result;
+  const std::size_t n = wait_into(ticket, result);
+  return Bytes(result.begin(), result.begin() + static_cast<long>(n));
 }
 
 std::size_t RingGroup::wait_into(Ticket ticket, std::span<std::uint8_t> out) {
-  if (ticket.ring >= rings_.size()) throw Error("hostcall: invalid ticket");
-  return rings_[ticket.ring]->wait_into(ticket.slot, out);
+  return ring_at(ticket.ring, "ticket").wait_into(ticket.slot, out);
 }
 
 Bytes RingGroup::call(std::uint32_t opcode, ByteView payload) {
@@ -574,10 +642,6 @@ void RingGroup::stop() {
 }
 
 RingGroupStats RingGroup::stats() const {
-  // One fence for the whole snapshot (HostCallRing::stats is relaxed-only):
-  // the per-ring loop must not re-fence, or an N-ring group would pay N
-  // barriers per scrape.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   RingGroupStats s;
   s.per_ring.reserve(rings_.size());
   for (const auto& ring : rings_) {
@@ -589,8 +653,8 @@ RingGroupStats RingGroup::stats() const {
     s.total.backpressure_waits += r.backpressure_waits;
     s.per_ring.push_back(r);
   }
-  s.affinity_submits = affinity_submits_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
+  s.affinity_submits = affinity_submits_.load(std::memory_order_acquire);
+  s.steals = steals_.load(std::memory_order_acquire);
   return s;
 }
 

@@ -1,29 +1,29 @@
-// Switchless ECALL runtime (the HotCalls design): a shared-memory job ring
-// between untrusted submitters and one dedicated in-enclave worker thread.
+// Switchless ECALL runtime (the HotCalls design): RingGroup, a set of
+// shared-memory job rings between untrusted submitters and in-enclave
+// worker threads, one resident worker per ring. A group with one ring is
+// the single-ring case; the ring itself is private to the group.
 //
-// Untrusted threads claim a ring slot, copy opcode + payload into it, and
+// Untrusted threads claim a ring slot, write opcode + payload into it, and
 // mark it queued; the worker — resident inside the enclave via a single
-// long-lived ECALL entry — polls the ring, copies each job *into* enclave
+// long-lived ECALL entry — polls its ring, copies each job *into* enclave
 // memory (exactly one read per slot field: untrusted memory is never
 // re-read after validation), executes it, and posts the result back into
 // the slot. No per-job boundary crossing happens on this path.
 //
 // Two submission shapes:
-//   * submit(opcode, bytes): classic copying submit (payload memcpy'd from
-//     a caller buffer into the slot).
-//   * begin_submit()/publish(): zero-copy submit — the caller serializes
-//     its message directly into the claimed slot's payload region, so the
-//     only untrusted-side copy is the serialization itself. Paired with
-//     wait_into(), which lands the result in a caller buffer, a frame
-//     round-trip performs zero heap allocations.
+//   * submit(opcode, bytes)/wait(): copying submit and collect, for
+//     control opcodes.
+//   * begin_submit()/publish() + wait_into(): zero-copy — the caller
+//     serializes its message directly into the claimed slot's payload
+//     region and the result lands in a caller buffer, so a frame round trip
+//     performs zero heap allocations.
 //
-// A RingGroup scales the substrate past one resident worker: N rings, one
-// in-enclave worker each, with producer affinity (a submitting thread
-// sticks to its home ring for cache locality and contention-free claims)
-// and round-robin fallback ("steal" a slot on a sibling ring rather than
-// block when home is full).
+// Ring choice: a submitting thread sticks to its home ring (cache locality,
+// contention-free claims) and steals a slot on a sibling rather than block
+// when home is full; begin_submit_on() pins a job to one ring, which is how
+// the inspection NF keeps each flow on one worker.
 //
-// Idle policy is spin-then-park: after `spin_polls` empty polls the worker
+// Idle policy is spin-then-park: after `spin_polls` empty polls a worker
 // exits the enclave and parks on a condition variable, so an idle enclave
 // burns no CPU; the next submission performs a classic ECALL-style wakeup
 // (one crossing when the worker re-enters).
@@ -34,20 +34,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sgx/enclave.h"
 
 namespace vnfsgx::obs {
 class Counter;
-class Gauge;
 }  // namespace vnfsgx::obs
 
 namespace vnfsgx::sgx {
@@ -57,16 +53,7 @@ namespace vnfsgx::sgx {
 /// truncated to an error inside the enclave.
 inline constexpr std::size_t kMaxHostCallPayload = 2048;
 
-struct HostCallOptions {
-  /// Ring slots; rounded up to a power of two, minimum 2.
-  std::size_t ring_capacity = 128;
-  /// Empty polls before the worker exits the enclave and parks.
-  int spin_polls = 4096;
-  /// Metrics label for this ring's occupancy gauge.
-  std::string name = "hostcall";
-};
-
-/// Counters exposed for tests and benchmarks (monotonic, relaxed).
+/// Counters exposed for tests and benchmarks (monotonic).
 struct HostCallStats {
   std::uint64_t submits = 0;             // jobs published into the ring
   std::uint64_t jobs = 0;                // jobs completed through the ring
@@ -75,143 +62,9 @@ struct HostCallStats {
   std::uint64_t backpressure_waits = 0;  // submits that blocked on a full ring
 };
 
-class HostCallRing {
- public:
-  /// Starts the in-enclave worker thread. The ring shares ownership of the
-  /// enclave so the worker can never outlive it.
-  explicit HostCallRing(std::shared_ptr<Enclave> enclave,
-                        HostCallOptions options = {});
-  ~HostCallRing();
-
-  HostCallRing(const HostCallRing&) = delete;
-  HostCallRing& operator=(const HostCallRing&) = delete;
-
-  /// Handle to a submitted job; pass to wait() exactly once.
-  using Ticket = std::uint32_t;
-
-  /// A claimed-but-unpublished slot for zero-copy submission. The caller
-  /// serializes its message directly into `payload` (the slot's inline
-  /// region, kMaxHostCallPayload bytes) and then either publish()es or
-  /// abandon()s the handle — exactly one of the two, exactly once. Between
-  /// begin_submit() and that call the slot is caller-owned and stop()
-  /// waits for it, so never hold a handle across blocking work.
-  struct SubmitHandle {
-    Ticket ticket = 0;
-    std::span<std::uint8_t> payload;
-  };
-
-  /// Claim a slot for zero-copy submission. Blocks only when the ring is
-  /// full (backpressure) — never drops. Throws Error once stopped.
-  SubmitHandle begin_submit(std::uint32_t opcode);
-
-  /// Non-blocking variant: nullopt when the ring is currently full.
-  /// Still throws Error once stopped.
-  std::optional<SubmitHandle> try_begin_submit(std::uint32_t opcode);
-
-  /// Hand a filled handle to the worker. `payload_len` is how many bytes of
-  /// handle.payload the caller wrote; the handle is consumed. Throws Error
-  /// (and frees the slot) if payload_len exceeds kMaxHostCallPayload.
-  void publish(const SubmitHandle& handle, std::size_t payload_len);
-
-  /// Release an unpublished handle without running a job (error paths).
-  void abandon(const SubmitHandle& handle);
-
-  /// Enqueue a job, copying `payload` into the slot. Blocks only when the
-  /// ring is full (backpressure) — never drops. Throws Error if the payload
-  /// exceeds kMaxHostCallPayload or the ring has been stopped.
-  Ticket submit(std::uint32_t opcode, ByteView payload);
-
-  /// Collect a submitted job's result, freeing its slot. Rethrows the
-  /// trusted handler's failure as Error.
-  Bytes wait(Ticket ticket);
-
-  /// Zero-copy collect: the result bytes land in `out` and the result
-  /// length is returned. Throws Error (still freeing the slot) when the
-  /// result does not fit in `out`; rethrows trusted failures like wait().
-  std::size_t wait_into(Ticket ticket, std::span<std::uint8_t> out);
-
-  /// submit + wait: the drop-in replacement for Enclave::call.
-  Bytes call(std::uint32_t opcode, ByteView payload);
-
-  /// Stop accepting jobs, let in-flight submitters finish, drain every
-  /// queued job through the worker, then join it. Idempotent; also run by
-  /// the destructor. After stop(), submit/call throw Error.
-  void stop();
-  bool stopped() const {
-    return !accepting_.load(std::memory_order_acquire);
-  }
-
-  /// Slots currently claimed/queued/executing/unconsumed.
-  std::size_t occupancy() const {
-    return occupancy_.load(std::memory_order_relaxed);
-  }
-  std::size_t capacity() const { return capacity_; }
-  const std::string& name() const { return options_.name; }
-  HostCallStats stats() const;
-
- private:
-  struct Slot;
-  struct WorkerScratch;
-
-  Slot* try_claim();
-  Slot& claim_slot();
-  void enter_submitter();
-  void leave_submitter();
-  void release_slot(Slot& slot);
-  void publish_slot(Slot& slot, std::size_t payload_len);
-  void await_done(Slot& slot);
-  bool process_one(EnclaveEntry& entry, WorkerScratch& scratch);
-  void worker_main();
-  void set_occupancy_gauge();
-
-  std::shared_ptr<Enclave> enclave_;
-  HostCallOptions options_;
-  std::size_t capacity_ = 0;
-  std::size_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-
-  std::atomic<bool> accepting_{true};
-  std::atomic<bool> running_{true};
-  std::atomic<std::size_t> occupancy_{0};
-  std::atomic<std::uint64_t> queued_{0};      // enqueued, not yet claimed
-  std::atomic<std::uint64_t> submitters_{0};  // threads holding slots/handles
-  std::atomic<std::uint32_t> claim_hint_{0};
-  std::size_t scan_ = 0;  // worker-only cursor
-
-  // Worker park/wake (the "classic ECALL wakeup" edge).
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> parked_{false};
-
-  // Submitters blocked on a full ring (backpressure) or on a result.
-  std::mutex space_mutex_;
-  std::condition_variable space_cv_;
-  std::atomic<std::uint32_t> space_waiters_{0};
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  std::atomic<std::uint32_t> done_waiters_{0};
-
-  // stop() rendezvous with in-flight submitters.
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  std::once_flag stop_once_;
-
-  std::atomic<std::uint64_t> submits_{0};
-  std::atomic<std::uint64_t> jobs_{0};
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> backpressure_waits_{0};
-
-  // Cached metric instruments (registered once per ring name).
-  obs::Gauge* occupancy_gauge_ = nullptr;
-  obs::Counter* submits_counter_ = nullptr;
-
-  std::thread worker_;
-};
-
 struct RingGroupOptions {
   /// Rings (= resident enclave workers). One per producer core is the
-  /// intended shape; 1 degenerates to a plain HostCallRing.
+  /// intended shape; 1 is the single-ring case.
   std::size_t rings = 1;
   /// Per-ring slot count; rounded up to a power of two, minimum 2.
   std::size_t ring_capacity = 128;
@@ -221,8 +74,8 @@ struct RingGroupOptions {
   std::string name = "hostcall";
 };
 
-/// Aggregated group counters plus the per-ring breakdown. Snapshot pays one
-/// seq_cst fence total, then relaxed reads — never one fence per ring.
+/// Aggregated group counters plus the per-ring breakdown. Every counter is
+/// read with an acquire load, so the snapshot needs no fence.
 struct RingGroupStats {
   HostCallStats total;
   std::vector<HostCallStats> per_ring;
@@ -237,6 +90,8 @@ struct RingGroupStats {
 /// which therefore must tolerate concurrent calls when rings > 1.
 class RingGroup {
  public:
+  /// Starts one in-enclave worker thread per ring. The group shares
+  /// ownership of the enclave so no worker can outlive it.
   explicit RingGroup(std::shared_ptr<Enclave> enclave,
                      RingGroupOptions options = {});
   ~RingGroup();
@@ -244,52 +99,83 @@ class RingGroup {
   RingGroup(const RingGroup&) = delete;
   RingGroup& operator=(const RingGroup&) = delete;
 
-  /// Group tickets/handles carry the ring index that owns the slot.
+  /// Handle to a submitted job: the ring that owns the slot and the slot
+  /// index. Pass to wait() or wait_into() exactly once.
   struct Ticket {
     std::uint32_t ring = 0;
-    HostCallRing::Ticket slot = 0;
+    std::uint32_t slot = 0;
   };
+
+  /// A claimed-but-unpublished slot for zero-copy submission. The caller
+  /// serializes its message directly into `payload` (the slot's inline
+  /// region, kMaxHostCallPayload bytes) and then either publish()es or
+  /// abandon()s the handle — exactly one of the two, exactly once. Between
+  /// begin_submit() and that call the slot is caller-owned and stop()
+  /// waits for it, so never hold a handle across blocking work.
   struct SubmitHandle {
-    std::uint32_t ring = 0;
-    HostCallRing::SubmitHandle inner;
+    Ticket ticket;
+    std::span<std::uint8_t> payload;
   };
 
   std::size_t rings() const { return rings_.size(); }
-  HostCallRing& ring(std::size_t index) { return *rings_[index]; }
+  /// Slots per ring (the rounded-up ring_capacity).
+  std::size_t capacity() const;
+  /// Slots currently claimed/queued/executing/unconsumed, over all rings.
+  std::size_t occupancy() const;
 
   /// The calling thread's affine ring (assigned round-robin on first use).
   std::size_t home_ring() const { return home_index(); }
 
   /// Zero-copy claim with affinity: home ring first, then steal round-robin
-  /// from siblings, then block on the home ring.
+  /// from siblings, then block on the home ring (backpressure — never
+  /// drops). Throws Error once stopped.
   SubmitHandle begin_submit(std::uint32_t opcode);
 
-  /// Zero-copy claim pinned to one ring (burst striping). Blocks on that
+  /// Zero-copy claim pinned to one ring (flow steering). Blocks on that
   /// ring when full.
   SubmitHandle begin_submit_on(std::size_t ring_index, std::uint32_t opcode);
 
+  /// Hand a filled handle to the worker. `payload_len` is how many bytes of
+  /// handle.payload the caller wrote; the handle is consumed. Throws Error
+  /// (and frees the slot) if payload_len exceeds kMaxHostCallPayload.
   void publish(const SubmitHandle& handle, std::size_t payload_len);
+
+  /// Release an unpublished handle without running a job (error paths).
   void abandon(const SubmitHandle& handle);
 
-  /// Copying submit with the same affinity policy as begin_submit().
+  /// Enqueue a job, copying `payload` into the slot, with the same affinity
+  /// policy as begin_submit(). Throws Error if the payload exceeds
+  /// kMaxHostCallPayload or the group has been stopped.
   Ticket submit(std::uint32_t opcode, ByteView payload);
 
+  /// Collect a submitted job's result, freeing its slot. Rethrows the
+  /// trusted handler's failure as Error.
   Bytes wait(Ticket ticket);
+
+  /// Zero-copy collect: the result bytes land in `out` and the result
+  /// length is returned. Throws Error (still freeing the slot) when the
+  /// result does not fit in `out`; rethrows trusted failures like wait().
   std::size_t wait_into(Ticket ticket, std::span<std::uint8_t> out);
+
+  /// submit + wait: the drop-in replacement for Enclave::call.
   Bytes call(std::uint32_t opcode, ByteView payload);
 
-  /// Stop every ring (same three-phase drain as HostCallRing::stop, run
-  /// per ring). Idempotent; also run by the destructor.
+  /// Stop every ring: refuse new jobs, let in-flight submitters finish,
+  /// drain every queued job through its worker, then join it. Results stay
+  /// collectable. Idempotent; also run by the destructor.
   void stop();
-  bool stopped() const { return rings_.front()->stopped(); }
+  bool stopped() const;
 
   RingGroupStats stats() const;
 
  private:
+  class Ring;
+
   std::size_t home_index() const;
+  Ring& ring_at(std::uint32_t index, const char* what) const;
 
   std::uint64_t group_id_ = 0;
-  std::vector<std::unique_ptr<HostCallRing>> rings_;
+  std::vector<std::unique_ptr<Ring>> rings_;
   mutable std::atomic<std::uint32_t> next_home_{0};
   std::atomic<std::uint64_t> affinity_submits_{0};
   std::atomic<std::uint64_t> steals_{0};

@@ -3,10 +3,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "pki/tlv.h"
@@ -15,17 +16,8 @@ namespace vnfsgx::vnf {
 
 namespace {
 
+// kOpFlowStats reply tags.
 enum : std::uint8_t {
-  kTagSrcIp = 0x01,
-  kTagDstIp = 0x02,
-  kTagSrcPort = 0x03,
-  kTagDstPort = 0x04,
-  kTagProto = 0x05,
-  kTagInPort = 0x06,
-  kTagPayload = 0x07,
-  kTagVerdict = 0x08,
-  kTagRuleName = 0x09,
-  kTagCached = 0x0a,
   kTagFlows = 0x0b,
   kTagInspected = 0x0c,
   kTagDropped = 0x0d,
@@ -44,12 +36,30 @@ Bytes inspection_enclave_code() {
       "guarantee: rules, flow table, and verdict cache never leave\n");
 }
 
-obs::Histogram& inspection_latency(const char* mode) {
-  auto& h = obs::registry().histogram(
-      "vnfsgx_inspection_latency_us", {{"mode", mode}},
+const char* mode_label(InspectionClient::Mode mode) {
+  return mode == InspectionClient::Mode::kSync ? "sync" : "switchless";
+}
+
+obs::Histogram& inspection_latency(InspectionClient::Mode mode) {
+  return obs::registry().histogram(
+      "vnfsgx_inspection_latency_us", {{"mode", mode_label(mode)}},
       obs::Histogram::latency_bounds_us(),
-      "Per-frame enclave inspection latency in microseconds");
-  return h;
+      "Single-frame enclave inspection latency in microseconds");
+}
+
+obs::Histogram& inspection_burst(InspectionClient::Mode mode) {
+  return obs::registry().histogram(
+      "vnfsgx_inspection_burst_us", {{"mode", mode_label(mode)}},
+      obs::Histogram::latency_bounds_us(),
+      "Whole-burst enclave inspection latency in microseconds");
+}
+
+double elapsed_us(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 std::chrono::steady_clock::now() - start)
+                 .count()) /
+         1000.0;
 }
 
 // The trusted logic is shared by every worker a RingGroup runs, so all
@@ -64,8 +74,6 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     switch (static_cast<InspectionOp>(opcode)) {
       case kOpLoadRules:
         return load_rules(input);
-      case kOpInspectPacket:
-        return inspect(input);
       case kOpSealRules:
         return seal_rules(services);
       case kOpRestoreRules:
@@ -75,13 +83,14 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
       case kOpResetFlows:
         clear_flows();
         return {};
-      case kOpInspectFrame: {
-        // Zero-copy opcode arriving over a copying path (sync/batched):
-        // run the fixed-buffer handler into a local scratch.
-        std::array<std::uint8_t, sgx::kMaxHostCallPayload> scratch;
-        const std::size_t n = inspect_frame(input, scratch);
-        return Bytes(scratch.begin(), scratch.begin() + n);
-      }
+      case kOpInspectFrame:
+        // Sync path: any frame size, verdict sized to the rule name.
+        return inspect_frame(
+            input, [](std::uint8_t verdict, bool cached, std::string_view rule) {
+              Bytes out(wire::kVerdictHeaderSize + rule.size());
+              wire::encode_verdict(verdict, cached, rule, out);
+              return out;
+            });
     }
     throw Error("inspection enclave: unknown opcode " + std::to_string(opcode));
   }
@@ -95,7 +104,10 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     if (static_cast<InspectionOp>(opcode) != kOpInspectFrame) {
       return std::nullopt;
     }
-    return inspect_frame(input, out);
+    return inspect_frame(
+        input, [out](std::uint8_t verdict, bool cached, std::string_view rule) {
+          return wire::encode_verdict(verdict, cached, rule, out);
+        });
   }
 
  private:
@@ -239,38 +251,17 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     return emit(kVerdictForward, false, std::string_view());
   }
 
-  Bytes inspect(ByteView input) {
-    pki::TlvReader r(input);
-    const std::uint32_t src_ip = r.expect_u32(kTagSrcIp);
-    const std::uint32_t dst_ip = r.expect_u32(kTagDstIp);
-    const std::uint32_t src_port = r.expect_u32(kTagSrcPort);
-    const std::uint32_t dst_port = r.expect_u32(kTagDstPort);
-    const std::uint8_t proto = r.expect_u8(kTagProto);
-    (void)r.expect_u32(kTagInPort);
-    const ByteView payload = r.expect(kTagPayload);
-    return run_verdict(
-        src_ip, dst_ip, static_cast<std::uint16_t>(src_port),
-        static_cast<std::uint16_t>(dst_port), proto, payload,
-        [](std::uint8_t verdict, bool cached, std::string_view rule) {
-          pki::TlvWriter w;
-          w.add_u8(kTagVerdict, verdict);
-          w.add_string(kTagRuleName, std::string(rule));
-          w.add_u8(kTagCached, cached ? 1 : 0);
-          return w.take();
-        });
-  }
-
-  /// The zero-copy hot path: FrameDescriptor in, FrameVerdict out, both
-  /// through fixed buffers — no trusted-side allocation for clean frames.
-  std::size_t inspect_frame(ByteView input, std::span<std::uint8_t> out) {
+  /// FrameDescriptor in, verdict out through `emit` (see run_verdict).
+  /// The ring path emits into fixed buffers: no trusted-side allocation
+  /// for clean frames.
+  template <typename Emit>
+  std::invoke_result_t<Emit, std::uint8_t, bool, std::string_view>
+  inspect_frame(ByteView input, Emit&& emit) {
     wire::FrameDescriptor header;
     const ByteView payload = wire::decode_frame(input, &header);
-    return run_verdict(
-        header.src_ip, header.dst_ip, header.src_port, header.dst_port,
-        header.proto, payload,
-        [out](std::uint8_t verdict, bool cached, std::string_view rule) {
-          return wire::encode_verdict(verdict, cached, rule, out);
-        });
+    return run_verdict(header.src_ip, header.dst_ip, header.src_port,
+                       header.dst_port, header.proto, payload,
+                       std::forward<Emit>(emit));
   }
 
   Bytes flow_stats() {
@@ -312,40 +303,6 @@ sgx::EnclaveImage inspection_enclave_image() {
 
 sgx::Measurement inspection_enclave_measurement() {
   return sgx::measure_image(inspection_enclave_code(), 0);
-}
-
-Bytes encode_inspect_request(const dataplane::Packet& packet,
-                             std::uint16_t in_port) {
-  pki::TlvWriter w;
-  w.add_u32(kTagSrcIp, packet.src_ip);
-  w.add_u32(kTagDstIp, packet.dst_ip);
-  w.add_u32(kTagSrcPort, packet.src_port);
-  w.add_u32(kTagDstPort, packet.dst_port);
-  w.add_u8(kTagProto, static_cast<std::uint8_t>(packet.proto));
-  w.add_u32(kTagInPort, in_port);
-  w.add_bytes(kTagPayload, packet.payload);
-  return w.take();
-}
-
-dataplane::InspectionOutcome decode_inspect_response(ByteView response) {
-  pki::TlvReader r(response);
-  const std::uint8_t verdict = r.expect_u8(kTagVerdict);
-  dataplane::InspectionOutcome outcome;
-  outcome.rule = r.expect_string(kTagRuleName);
-  switch (verdict) {
-    case kVerdictForward:
-      outcome.verdict = dataplane::InspectVerdict::kForward;
-      break;
-    case kVerdictDrop:
-      outcome.verdict = dataplane::InspectVerdict::kDrop;
-      break;
-    case kVerdictAlert:
-      outcome.verdict = dataplane::InspectVerdict::kAlert;
-      break;
-    default:
-      throw ParseError("inspection: bad verdict byte");
-  }
-  return outcome;
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +354,10 @@ InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
 
 InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
                                    Options options)
-    : enclave_(std::move(enclave)), options_(options) {
+    : enclave_(std::move(enclave)),
+      options_(options),
+      frame_latency_(&inspection_latency(options.mode)),
+      burst_latency_(&inspection_burst(options.mode)) {
   if (!enclave_) throw Error("inspection client: null enclave");
   if (options_.mode == Mode::kSwitchless) {
     sgx::RingGroupOptions group_options;
@@ -425,49 +385,66 @@ void InspectionClient::restore_rules(ByteView sealed) {
   dispatch(kOpRestoreRules, sealed);
 }
 
-dataplane::InspectionOutcome InspectionClient::inspect_frame_zero_copy(
-    const dataplane::Packet& packet, std::uint16_t in_port) {
-  // Serialize once, straight into the claimed ring slot: no TLV buffer, no
-  // heap allocation anywhere on the submit path. The verdict comes back
-  // through a stack buffer the same way.
+std::size_t InspectionClient::ring_for(const dataplane::Packet& packet) const {
+  // Flow steering, as NIC RSS does it: every frame of one 5-tuple hashes to
+  // one ring, so a single resident worker judges the flow's frames in the
+  // order they were submitted.
+  const std::size_t rings = group_->rings();
+  if (rings == 1) return 0;
+  std::uint64_t h = (std::uint64_t{packet.src_ip} << 32 | packet.dst_ip) ^
+                    (std::uint64_t{packet.src_port} << 24 |
+                     std::uint64_t{packet.dst_port} << 8 |
+                     static_cast<std::uint8_t>(packet.proto)) *
+                        0x9e3779b97f4a7c15ULL;
+  // splitmix64 finalizer: every input bit reaches the high word.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return static_cast<std::size_t>(h % rings);
+}
+
+sgx::RingGroup::Ticket InspectionClient::submit_frame(
+    const dataplane::Packet& packet, std::uint16_t in_port, std::size_t ring) {
+  // Serialize once, straight into the claimed ring slot: no intermediate
+  // buffer, no heap allocation anywhere on the submit path.
   if (packet.payload.size() > kMaxInlineFramePayload) {
     throw Error("inspection: frame payload of " +
                 std::to_string(packet.payload.size()) +
                 " bytes exceeds inline descriptor capacity of " +
                 std::to_string(kMaxInlineFramePayload));
   }
-  sgx::RingGroup::SubmitHandle handle = group_->begin_submit(kOpInspectFrame);
+  const sgx::RingGroup::SubmitHandle handle =
+      group_->begin_submit_on(ring, kOpInspectFrame);
   std::size_t frame_len = 0;
   try {
     frame_len = wire::encode_frame(make_descriptor(packet, in_port),
-                                   packet.payload, handle.inner.payload);
+                                   packet.payload, handle.payload);
   } catch (...) {
     group_->abandon(handle);
     throw;
   }
   group_->publish(handle, frame_len);
-  std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
-  const std::size_t n = group_->wait_into(
-      sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket}, result);
-  return decode_frame_verdict(ByteView(result.data(), n));
+  return handle.ticket;
 }
 
 dataplane::InspectionOutcome InspectionClient::inspect(
     const dataplane::Packet& packet, std::uint16_t in_port) {
-  static const char* const kModeNames[] = {"sync", "batched", "switchless"};
-  obs::Histogram& latency =
-      inspection_latency(kModeNames[static_cast<int>(options_.mode)]);
   const auto start = std::chrono::steady_clock::now();
   dataplane::InspectionOutcome outcome;
-  if (group_ && options_.codec == Codec::kZeroCopy) {
-    outcome = inspect_frame_zero_copy(packet, in_port);
+  if (group_) {
+    // The verdict comes back through a stack buffer: nothing allocated.
+    const sgx::RingGroup::Ticket ticket =
+        submit_frame(packet, in_port, ring_for(packet));
+    std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
+    const std::size_t n = group_->wait_into(ticket, result);
+    outcome = decode_frame_verdict(ByteView(result.data(), n));
   } else {
-    outcome = decode_inspect_response(
-        dispatch(kOpInspectPacket, encode_inspect_request(packet, in_port)));
+    Bytes request(wire::kFrameHeaderSize + packet.payload.size());
+    wire::encode_frame(make_descriptor(packet, in_port), packet.payload,
+                       request);
+    outcome = decode_frame_verdict(enclave_->call(kOpInspectFrame, request));
   }
-  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - start);
-  latency.observe(static_cast<double>(elapsed.count()) / 1000.0);
+  frame_latency_->observe(elapsed_us(start));
   return outcome;
 }
 
@@ -475,11 +452,12 @@ std::vector<dataplane::InspectionOutcome>
 InspectionClient::inspect_burst_switchless(
     std::span<const dataplane::Packet* const> packets,
     std::uint16_t in_port) {
-  // Pipelined windows, one per ring: frames are striped round-robin so all
-  // resident workers drain in parallel, with at most half a ring's
-  // capacity outstanding per ring — never more than a ring can hold, which
-  // would deadlock against our own uncollected results. Tickets are
-  // collected FIFO, so `outcomes` stays positional.
+  // Pipelined windows, one per ring: each frame goes to its flow's ring, so
+  // resident workers drain different flows in parallel, with at most half a
+  // ring's capacity outstanding per ring — never more than a ring can hold,
+  // which would deadlock against our own uncollected results. Tickets are
+  // collected FIFO, so `outcomes` stays positional and each ring's
+  // occupied slots stay one contiguous arc its worker drains in order.
   // Error path: every submitted ticket is waited on even after a failure —
   // an uncollected ticket would pin its slot forever and leak ring
   // capacity into permanent backpressure. Once anything fails (a rejected
@@ -489,12 +467,10 @@ InspectionClient::inspect_burst_switchless(
   // for a later-submitted frame.
   std::vector<dataplane::InspectionOutcome> outcomes;
   outcomes.reserve(packets.size());
-  const std::size_t ring_count = group_->rings();
-  const std::size_t window =
-      std::max<std::size_t>(group_->ring(0).capacity() / 2, 1);
+  const std::size_t window = std::max<std::size_t>(group_->capacity() / 2, 1);
   std::vector<sgx::RingGroup::Ticket> tickets;
   tickets.reserve(packets.size());
-  std::vector<std::size_t> inflight(ring_count, 0);
+  std::vector<std::size_t> inflight(group_->rings(), 0);
   std::size_t collected = 0;
   std::exception_ptr first_error;
   std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
@@ -502,69 +478,23 @@ InspectionClient::inspect_burst_switchless(
     const sgx::RingGroup::Ticket t = tickets[collected++];
     --inflight[t.ring];
     try {
-      if (options_.codec == Codec::kZeroCopy) {
-        const std::size_t n = group_->wait_into(t, result);
-        if (!first_error) {
-          outcomes.push_back(
-              decode_frame_verdict(ByteView(result.data(), n)));
-        }
-      } else {
-        Bytes response = group_->wait(t);
-        if (!first_error) {
-          outcomes.push_back(decode_inspect_response(response));
-        }
+      const std::size_t n = group_->wait_into(t, result);
+      if (!first_error) {
+        outcomes.push_back(decode_frame_verdict(ByteView(result.data(), n)));
       }
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
   };
-  std::size_t index = 0;
   for (const dataplane::Packet* packet : packets) {
-    const dataplane::Packet& p = *packet;
-    const std::size_t target = index++ % ring_count;
+    const std::size_t target = ring_for(*packet);
     while (inflight[target] >= window && collected < tickets.size() &&
            !first_error) {
       collect_one();
     }
     if (first_error) break;
     try {
-      if (options_.codec == Codec::kZeroCopy) {
-        if (p.payload.size() > kMaxInlineFramePayload) {
-          throw Error("inspection: frame payload of " +
-                      std::to_string(p.payload.size()) +
-                      " bytes exceeds inline descriptor capacity of " +
-                      std::to_string(kMaxInlineFramePayload));
-        }
-        sgx::RingGroup::SubmitHandle handle =
-            group_->begin_submit_on(target, kOpInspectFrame);
-        std::size_t frame_len = 0;
-        try {
-          frame_len = wire::encode_frame(make_descriptor(p, in_port),
-                                         p.payload, handle.inner.payload);
-        } catch (...) {
-          group_->abandon(handle);
-          throw;
-        }
-        group_->publish(handle, frame_len);
-        tickets.push_back(
-            sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket});
-      } else {
-        // Legacy TLV arm (the A/B baseline): per-frame heap encode, then
-        // one more copy into the slot.
-        const Bytes request = encode_inspect_request(p, in_port);
-        if (request.size() > sgx::kMaxHostCallPayload) {
-          throw Error("inspection: TLV request exceeds ring slot capacity");
-        }
-        sgx::RingGroup::SubmitHandle handle =
-            group_->begin_submit_on(target, kOpInspectPacket);
-        if (!request.empty()) {
-          std::memcpy(handle.inner.payload.data(), request.data(),
-                      request.size());
-        }
-        group_->publish(handle, request.size());
-        tickets.push_back(
-            sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket});
-      }
+      tickets.push_back(submit_frame(*packet, in_port, target));
       ++inflight[target];
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
@@ -588,48 +518,18 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
 std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
     std::span<const dataplane::Packet* const> packets,
     std::uint16_t in_port) {
-  std::vector<dataplane::InspectionOutcome> outcomes;
-  outcomes.reserve(packets.size());
-  static const char* const kModeNames[] = {"sync", "batched", "switchless"};
-  obs::Histogram& latency =
-      inspection_latency(kModeNames[static_cast<int>(options_.mode)]);
   const auto start = std::chrono::steady_clock::now();
-  switch (options_.mode) {
-    case Mode::kSync:
-      for (const dataplane::Packet* p : packets) {
-        outcomes.push_back(inspect(*p, in_port));
-      }
-      // inspect() observed each frame individually; skip the amortized
-      // observation below so sync frames are not double-counted.
-      return outcomes;
-    case Mode::kBatched: {
-      std::vector<sgx::BatchCall> jobs;
-      jobs.reserve(packets.size());
-      for (const dataplane::Packet* p : packets) {
-        jobs.push_back(sgx::BatchCall{kOpInspectPacket,
-                                      encode_inspect_request(*p, in_port)});
-      }
-      for (const sgx::BatchResult& r : enclave_->call_batch(jobs)) {
-        if (!r.ok) throw Error("inspection batch: " + r.error);
-        outcomes.push_back(decode_inspect_response(r.output));
-      }
-      break;
-    }
-    case Mode::kSwitchless:
-      outcomes = inspect_burst_switchless(packets, in_port);
-      break;
-  }
-  // Batched/switchless frames share the boundary work, so record the
-  // amortized per-frame latency: burst wall time divided by frame count.
-  if (!packets.empty()) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - start);
-    const double per_frame_us = static_cast<double>(elapsed.count()) / 1000.0 /
-                                static_cast<double>(packets.size());
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      latency.observe(per_frame_us);
+  std::vector<dataplane::InspectionOutcome> outcomes;
+  if (group_) {
+    outcomes = inspect_burst_switchless(packets, in_port);
+  } else {
+    // Each inspect() records its own single-frame latency sample.
+    outcomes.reserve(packets.size());
+    for (const dataplane::Packet* p : packets) {
+      outcomes.push_back(inspect(*p, in_port));
     }
   }
+  if (!packets.empty()) burst_latency_->observe(elapsed_us(start));
   return outcomes;
 }
 

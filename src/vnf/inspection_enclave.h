@@ -8,12 +8,16 @@
 // kOpRestoreRules wrap the table with the platform seal keys, so rules are
 // confidentiality-protected exactly like VNF credentials.
 //
-// Two switchless wire formats coexist:
-//   * kOpInspectPacket (TLV) — the PR-6 format, kept for the sync/batched
-//     paths and as the A/B baseline in the boundary benchmarks.
-//   * kOpInspectFrame (FrameDescriptor) — the zero-copy hot path: a fixed
-//     POD header + inline frame bytes serialized once, directly into the
-//     ring slot, with the verdict returned in place (inspection_wire.h).
+// Frames cross the boundary in one wire format, kOpInspectFrame: a
+// FrameDescriptor (fixed POD header + inline frame bytes) answered by a
+// FrameVerdict plus the matched rule name (inspection_wire.h). Two
+// disciplines carry it:
+//   * sync — one Enclave::call per frame, any frame size; the verdict
+//     reference the tests compare against.
+//   * switchless — serialized once, directly into a RingGroup slot, with
+//     the verdict returned in place. Each frame is steered to a ring by a
+//     hash of its 5-tuple, so one flow's frames reach one resident worker
+//     in burst order and the sticky per-flow drop never races.
 // The trusted logic is thread-safe: a RingGroup runs one resident worker
 // per ring, all dispatching into the same rule table and flow shards.
 #pragma once
@@ -28,15 +32,17 @@
 #include "vnf/inspection_rules.h"
 #include "vnf/inspection_wire.h"
 
+namespace vnfsgx::obs {
+class Histogram;
+}  // namespace vnfsgx::obs
+
 namespace vnfsgx::vnf {
 
 /// ECALL opcodes of the inspection enclave.
 enum InspectionOp : std::uint32_t {
   /// RuleSet TLV -> (). Installs + compiles the rule table, resets flows.
   kOpLoadRules = 1,
-  /// TLV{5-tuple, in_port, payload} -> TLV{verdict u8, rule, cached u8}.
-  /// Throws if no rules are loaded (the dataplane then fails closed).
-  kOpInspectPacket = 2,
+  // 2 is retired (a TLV frame format); the enclave rejects it as unknown.
   /// () -> sealed blob (MRENCLAVE policy) of the rule table.
   kOpSealRules = 3,
   /// sealed blob -> (). Restores a sealed rule table after a restart.
@@ -45,14 +51,15 @@ enum InspectionOp : std::uint32_t {
   kOpFlowStats = 5,
   /// () -> (). Clears the flow table and verdict cache; rules stay.
   kOpResetFlows = 6,
-  /// FrameDescriptor + inline payload -> FrameVerdict + rule name. The
-  /// zero-copy switchless path; same semantics as kOpInspectPacket.
+  /// FrameDescriptor + inline payload -> FrameVerdict + rule name.
+  /// Throws if no rules are loaded (the dataplane then fails closed).
   kOpInspectFrame = 7,
 };
 
-/// Largest frame payload the zero-copy path can inline in one ring slot.
+/// Largest frame payload the switchless path can inline in one ring slot.
 /// Comfortably above a 1500-byte MTU frame; larger payloads are rejected
-/// at the untrusted gate (the dataplane then fails closed).
+/// at the untrusted gate (the dataplane then fails closed). Sync mode has
+/// no such limit.
 inline constexpr std::size_t kMaxInlineFramePayload =
     sgx::kMaxHostCallPayload - wire::kFrameHeaderSize;
 
@@ -70,15 +77,10 @@ sgx::EnclaveImage inspection_enclave_image();
 sgx::Measurement inspection_enclave_measurement();
 
 /// Untrusted-side client: marshals packets to the enclave over one of the
-/// three boundary disciplines and adapts the NF to the dataplane punt hook.
+/// two boundary disciplines and adapts the NF to the dataplane punt hook.
 class InspectionClient {
  public:
-  enum class Mode { kSync, kBatched, kSwitchless };
-
-  /// Wire format used on the switchless hot path. kTlv is the PR-6 format
-  /// (per-frame TLV encode into a heap buffer, then copied into the slot);
-  /// kZeroCopy serializes the FrameDescriptor straight into the slot.
-  enum class Codec { kTlv, kZeroCopy };
+  enum class Mode { kSync, kSwitchless };
 
   struct Options {
     Mode mode = Mode::kSync;
@@ -86,7 +88,6 @@ class InspectionClient {
     std::size_t rings = 1;
     /// Per-ring slot count.
     std::size_t ring_capacity = 128;
-    Codec codec = Codec::kZeroCopy;
   };
 
   /// For kSwitchless a RingGroup (and its in-enclave worker threads) is
@@ -99,20 +100,20 @@ class InspectionClient {
   InspectionClient& operator=(const InspectionClient&) = delete;
 
   Mode mode() const { return options_.mode; }
-  Codec codec() const { return options_.codec; }
   std::size_t rings() const { return group_ ? group_->rings() : 0; }
 
   void load_rules(const RuleSet& rules);
   Bytes seal_rules();
   void restore_rules(ByteView sealed);
 
-  /// Inspect one frame. Records the per-frame latency histogram.
+  /// Inspect one frame. Records one per-frame latency sample.
   dataplane::InspectionOutcome inspect(const dataplane::Packet& packet,
                                        std::uint16_t in_port);
 
-  /// Inspect a burst. kSync pays one crossing per frame, kBatched one per
-  /// burst, kSwitchless stripes the burst round-robin across the rings
-  /// with a bounded in-flight window per ring. Outcomes are positional.
+  /// Inspect a burst. kSync pays one crossing per frame (and records each
+  /// frame's latency); kSwitchless steers each frame to its flow's ring
+  /// with a bounded in-flight window per ring. Either way the burst adds
+  /// one sample to the per-burst histogram. Outcomes are positional.
   std::vector<dataplane::InspectionOutcome> inspect_burst(
       std::span<const dataplane::Packet> packets, std::uint16_t in_port);
 
@@ -135,20 +136,18 @@ class InspectionClient {
 
  private:
   Bytes dispatch(std::uint32_t opcode, ByteView input);
-  dataplane::InspectionOutcome inspect_frame_zero_copy(
-      const dataplane::Packet& packet, std::uint16_t in_port);
+  std::size_t ring_for(const dataplane::Packet& packet) const;
+  sgx::RingGroup::Ticket submit_frame(const dataplane::Packet& packet,
+                                      std::uint16_t in_port, std::size_t ring);
   std::vector<dataplane::InspectionOutcome> inspect_burst_switchless(
       std::span<const dataplane::Packet* const> packets,
       std::uint16_t in_port);
 
   std::shared_ptr<sgx::Enclave> enclave_;
   Options options_;
+  obs::Histogram* frame_latency_;  // vnfsgx_inspection_latency_us{mode}
+  obs::Histogram* burst_latency_;  // vnfsgx_inspection_burst_us{mode}
   std::unique_ptr<sgx::RingGroup> group_;
 };
-
-/// Wire helpers, exposed for tests.
-Bytes encode_inspect_request(const dataplane::Packet& packet,
-                             std::uint16_t in_port);
-dataplane::InspectionOutcome decode_inspect_response(ByteView response);
 
 }  // namespace vnfsgx::vnf

@@ -1,6 +1,7 @@
-// ECALL boundary runtime tests: batched calls, the switchless hostcall
-// ring (submit/wait, spin-then-park, backpressure, teardown drain), and
-// the failure modes at the trusted/untrusted boundary.
+// Switchless ECALL runtime tests: the hostcall ring behind a one-ring
+// RingGroup (submit/wait, spin-then-park, backpressure, teardown drain),
+// multi-ring groups (affinity, stealing, aggregation), and the failure
+// modes at the trusted/untrusted boundary.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,7 +28,16 @@ enum TestOp : std::uint32_t {
   kFail = 4,
   kGateWait = 5,
   kBigResult = 6,
+  kRecord = 7,
 };
+
+/// "<prefix><n>", built by appending: GCC 12's -Wrestrict misfires on
+/// `"literal" + std::to_string(n)`.
+std::string tag(const char* prefix, std::size_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
 
 /// Test gate the trusted logic can block on, controlled from the outside.
 struct Gate {
@@ -46,9 +56,16 @@ struct Gate {
   }
 };
 
+/// The order in which kRecord jobs ran inside the enclave.
+struct Journal {
+  std::mutex mutex;
+  std::vector<std::string> entries;
+};
+
 class RingTestLogic final : public TrustedLogic {
  public:
-  explicit RingTestLogic(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  RingTestLogic(std::shared_ptr<Gate> gate, std::shared_ptr<Journal> journal)
+      : gate_(std::move(gate)), journal_(std::move(journal)) {}
 
   Bytes handle_call(std::uint32_t opcode, ByteView input,
                     EnclaveServices& services) override {
@@ -67,12 +84,18 @@ class RingTestLogic final : public TrustedLogic {
         return to_bytes("released");
       case kBigResult:
         return Bytes(kMaxHostCallPayload + 1, 0xab);
+      case kRecord: {
+        std::lock_guard<std::mutex> lk(journal_->mutex);
+        journal_->entries.push_back(to_string(input));
+        return {};
+      }
     }
     throw Error("unknown opcode");
   }
 
  private:
   std::shared_ptr<Gate> gate_;
+  std::shared_ptr<Journal> journal_;
 };
 
 class HostCallFixture : public ::testing::Test {
@@ -82,14 +105,15 @@ class HostCallFixture : public ::testing::Test {
     options.crossing_cost = std::chrono::nanoseconds(0);  // fast tests
     platform_ = std::make_unique<SgxPlatform>(rng_, "ring-host", options);
     gate_ = std::make_shared<Gate>();
+    journal_ = std::make_shared<Journal>();
   }
 
   std::shared_ptr<Enclave> load() {
     EnclaveImage image;
     image.name = "ring-test-enclave";
     image.code = to_bytes("ring test enclave code");
-    image.factory = [gate = gate_] {
-      return std::make_unique<RingTestLogic>(gate);
+    image.factory = [gate = gate_, journal = journal_] {
+      return std::make_unique<RingTestLogic>(gate, journal);
     };
     const SigStruct sig = sign_enclave(
         vendor_.seed, measure_image(image.code, image.attributes), 1, 1);
@@ -100,52 +124,8 @@ class HostCallFixture : public ::testing::Test {
   crypto::Ed25519KeyPair vendor_;
   std::unique_ptr<SgxPlatform> platform_;
   std::shared_ptr<Gate> gate_;
+  std::shared_ptr<Journal> journal_;
 };
-
-// ---------------------------------------------------------------------------
-// Batched ECALLs
-// ---------------------------------------------------------------------------
-
-TEST_F(HostCallFixture, BatchAmortizesOneCrossing) {
-  auto enclave = load();
-  std::vector<BatchCall> jobs;
-  for (int i = 0; i < 16; ++i) {
-    jobs.push_back(BatchCall{kEcho, to_bytes("job" + std::to_string(i))});
-  }
-  const EcallStats before = enclave->ecall_stats();
-  const auto results = enclave->call_batch(jobs);
-  const EcallStats after = enclave->ecall_stats();
-
-  ASSERT_EQ(results.size(), 16u);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_TRUE(results[i].ok);
-    EXPECT_EQ(to_string(results[i].output), "job" + std::to_string(i));
-  }
-  EXPECT_EQ(after.crossings - before.crossings, 1u);  // the whole point
-  EXPECT_EQ(after.batched_jobs - before.batched_jobs, 16u);
-}
-
-TEST_F(HostCallFixture, BatchIsolatesJobFailures) {
-  auto enclave = load();
-  std::vector<BatchCall> jobs;
-  jobs.push_back(BatchCall{kEcho, to_bytes("first")});
-  jobs.push_back(BatchCall{kFail, {}});
-  jobs.push_back(BatchCall{kEcho, to_bytes("third")});
-  const auto results = enclave->call_batch(jobs);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok);
-  EXPECT_FALSE(results[1].ok);
-  EXPECT_NE(results[1].error.find("refused"), std::string::npos);
-  EXPECT_TRUE(results[2].ok);
-  EXPECT_EQ(to_string(results[2].output), "third");
-}
-
-TEST_F(HostCallFixture, EmptyBatchCostsNothing) {
-  auto enclave = load();
-  const EcallStats before = enclave->ecall_stats();
-  EXPECT_TRUE(enclave->call_batch({}).empty());
-  EXPECT_EQ(enclave->ecall_stats().crossings, before.crossings);
-}
 
 // ---------------------------------------------------------------------------
 // Switchless ring: happy paths
@@ -153,10 +133,10 @@ TEST_F(HostCallFixture, EmptyBatchCostsNothing) {
 
 TEST_F(HostCallFixture, RingEchoRoundTrip) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const Bytes out = ring.call(kEcho, to_bytes("through the ring"));
   EXPECT_EQ(to_string(out), "through the ring");
-  EXPECT_EQ(ring.stats().jobs, 1u);
+  EXPECT_EQ(ring.stats().total.jobs, 1u);
   EXPECT_EQ(ring.occupancy(), 0u);
   const EcallStats stats = enclave->ecall_stats();
   EXPECT_EQ(stats.switchless_jobs, 1u);
@@ -165,24 +145,24 @@ TEST_F(HostCallFixture, RingEchoRoundTrip) {
 
 TEST_F(HostCallFixture, SwitchlessAvoidsPerJobCrossings) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   constexpr int kJobs = 200;
   const EcallStats before = enclave->ecall_stats();
 
   // Pipelined window keeps the ring busy so the worker never runs dry.
-  std::vector<HostCallRing::Ticket> tickets;
+  std::vector<RingGroup::Ticket> tickets;
   std::size_t collected = 0;
   for (int i = 0; i < kJobs; ++i) {
     if (tickets.size() - collected >= 32) {
       const Bytes out = ring.wait(tickets[collected]);
-      EXPECT_EQ(to_string(out), "p" + std::to_string(collected));
+      EXPECT_EQ(to_string(out), tag("p", collected));
       ++collected;
     }
-    tickets.push_back(ring.submit(kEcho, to_bytes("p" + std::to_string(i))));
+    tickets.push_back(ring.submit(kEcho, to_bytes(tag("p", i))));
   }
   while (collected < tickets.size()) {
     const Bytes out = ring.wait(tickets[collected]);
-    EXPECT_EQ(to_string(out), "p" + std::to_string(collected));
+    EXPECT_EQ(to_string(out), tag("p", collected));
     ++collected;
   }
 
@@ -195,9 +175,36 @@ TEST_F(HostCallFixture, SwitchlessAvoidsPerJobCrossings) {
             static_cast<std::uint64_t>(kJobs) / 2);
 }
 
+TEST_F(HostCallFixture, RingRunsOneSubmittersJobsInOrder) {
+  // The worker scans for queued slots while the submitter is still filling
+  // earlier ones; it must never overtake a slot published before the one it
+  // found. Per-flow verdicts on the inspection path depend on this order.
+  auto enclave = load();
+  RingGroupOptions options;
+  options.ring_capacity = 8;
+  RingGroup ring(enclave, options);
+  constexpr std::size_t kJobs = 20000;
+  std::vector<RingGroup::Ticket> tickets;
+  tickets.reserve(kJobs);
+  std::size_t collected = 0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    if (tickets.size() - collected >= 4) ring.wait(tickets[collected++]);
+    tickets.push_back(ring.submit(kRecord, to_bytes(tag("j", i))));
+  }
+  while (collected < tickets.size()) ring.wait(tickets[collected++]);
+
+  std::lock_guard<std::mutex> lk(journal_->mutex);
+  ASSERT_EQ(journal_->entries.size(), kJobs);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    if (journal_->entries[i] != tag("j", i)) ++out_of_order;
+  }
+  EXPECT_EQ(out_of_order, 0u);
+}
+
 TEST_F(HostCallFixture, RingWorkerRunsInsideTheEnclave) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   // Vault access throws SecurityViolation unless executing inside the
   // enclave — a round trip proves the ring worker really is "inside".
   ring.call(kStore, to_bytes("ring-credential"));
@@ -206,7 +213,7 @@ TEST_F(HostCallFixture, RingWorkerRunsInsideTheEnclave) {
 
 TEST_F(HostCallFixture, RingPropagatesTrustedErrors) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   try {
     ring.call(kFail, {});
     FAIL() << "expected Error";
@@ -220,9 +227,9 @@ TEST_F(HostCallFixture, RingPropagatesTrustedErrors) {
 
 TEST_F(HostCallFixture, ConcurrentSubmitters) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 8;  // small ring: force contention
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
   std::atomic<int> failures{0};
@@ -241,24 +248,24 @@ TEST_F(HostCallFixture, ConcurrentSubmitters) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(ring.stats().jobs,
+  EXPECT_EQ(ring.stats().total.jobs,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(ring.occupancy(), 0u);
 }
 
 TEST_F(HostCallFixture, SpinBudgetExhaustionParksAndWakes) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.spin_polls = 16;  // park quickly
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
   // Idle ring: the worker must park instead of spinning forever.
-  for (int i = 0; i < 200 && ring.stats().parks == 0; ++i) {
+  for (int i = 0; i < 200 && ring.stats().total.parks == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_GE(ring.stats().parks, 1u);
+  EXPECT_GE(ring.stats().total.parks, 1u);
   // A submission must wake it (the classic-ECALL wakeup edge).
   EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("wake"))), "wake");
-  EXPECT_GE(ring.stats().wakeups, 1u);
+  EXPECT_GE(ring.stats().total.wakeups, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,19 +274,19 @@ TEST_F(HostCallFixture, SpinBudgetExhaustionParksAndWakes) {
 
 TEST_F(HostCallFixture, OversizedPayloadRejectedAtTheGate) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const Bytes too_big(kMaxHostCallPayload + 1, 0x41);
   EXPECT_THROW(ring.submit(kEcho, too_big), Error);
   // Nothing was enqueued and the ring still works.
   EXPECT_EQ(ring.occupancy(), 0u);
-  EXPECT_EQ(ring.stats().jobs, 0u);
+  EXPECT_EQ(ring.stats().total.jobs, 0u);
   const Bytes max_size(kMaxHostCallPayload, 0x42);
   EXPECT_EQ(ring.call(kEcho, max_size), max_size);
 }
 
 TEST_F(HostCallFixture, OversizedTrustedResultFailsTheJob) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   try {
     ring.call(kBigResult, {});
     FAIL() << "expected Error";
@@ -291,9 +298,9 @@ TEST_F(HostCallFixture, OversizedTrustedResultFailsTheJob) {
 
 TEST_F(HostCallFixture, FullRingBlocksInsteadOfDropping) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 2;
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
   ASSERT_EQ(ring.capacity(), 2u);
 
   // Slot 1: a job the worker is stuck executing until we open the gate.
@@ -317,27 +324,27 @@ TEST_F(HostCallFixture, FullRingBlocksInsteadOfDropping) {
   submitter.join();
   EXPECT_TRUE(third_done.load());
   EXPECT_EQ(to_string(third_result), "backpressured");
-  EXPECT_GE(ring.stats().backpressure_waits, 1u);
-  EXPECT_EQ(ring.stats().jobs, 3u);
+  EXPECT_GE(ring.stats().total.backpressure_waits, 1u);
+  EXPECT_EQ(ring.stats().total.jobs, 3u);
 }
 
 TEST_F(HostCallFixture, StopDrainsInFlightJobsCleanly) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 16;
-  HostCallRing ring(enclave, options);
-  std::vector<HostCallRing::Ticket> tickets;
+  RingGroup ring(enclave, options);
+  std::vector<RingGroup::Ticket> tickets;
   for (int i = 0; i < 8; ++i) {
-    tickets.push_back(ring.submit(kEcho, to_bytes("drain" + std::to_string(i))));
+    tickets.push_back(ring.submit(kEcho, to_bytes(tag("drain", i))));
   }
   ring.stop();
   EXPECT_TRUE(ring.stopped());
   // Every submitted job was executed before the worker exited; results are
   // still collectable — no dangling slots.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(to_string(ring.wait(tickets[i])), "drain" + std::to_string(i));
+    EXPECT_EQ(to_string(ring.wait(tickets[i])), tag("drain", i));
   }
-  EXPECT_EQ(ring.stats().jobs, 8u);
+  EXPECT_EQ(ring.stats().total.jobs, 8u);
   EXPECT_EQ(ring.occupancy(), 0u);
   // New work is refused after stop.
   EXPECT_THROW(ring.submit(kEcho, to_bytes("late")), Error);
@@ -347,7 +354,7 @@ TEST_F(HostCallFixture, StopDrainsInFlightJobsCleanly) {
 TEST_F(HostCallFixture, DestructionWithUncollectedResultsIsClean) {
   auto enclave = load();
   {
-    HostCallRing ring(enclave);
+    RingGroup ring(enclave);
     for (int i = 0; i < 4; ++i) {
       ring.submit(kEcho, to_bytes("abandoned"));
     }
@@ -360,9 +367,9 @@ TEST_F(HostCallFixture, DestructionWithUncollectedResultsIsClean) {
 
 TEST_F(HostCallFixture, StopUnblocksBackpressuredSubmitters) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 2;
-  auto ring = std::make_unique<HostCallRing>(enclave, options);
+  auto ring = std::make_unique<RingGroup>(enclave, options);
   ring->submit(kGateWait, {});
   ring->submit(kEcho, {});  // ring now full
 
@@ -387,9 +394,9 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
   // different ticket — every successful wait has to return exactly the
   // payload submitted under that ticket, and no slot may leak.
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 8;
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
 
   std::thread stopper([&] {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -397,14 +404,14 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
   });
 
   constexpr int kFrames = 4000;
-  std::vector<HostCallRing::Ticket> tickets;
+  std::vector<RingGroup::Ticket> tickets;
   std::vector<int> frame_of;  // frame_of[i] = frame submitted as tickets[i]
   std::size_t collected = 0;
   int mismatches = 0;
   auto collect = [&] {
     try {
       const Bytes out = ring.wait(tickets[collected]);
-      if (to_string(out) != "f" + std::to_string(frame_of[collected])) {
+      if (to_string(out) != tag("f", frame_of[collected])) {
         ++mismatches;
       }
     } catch (const Error&) {
@@ -415,7 +422,7 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
   for (int i = 0; i < kFrames; ++i) {
     if (tickets.size() - collected >= 4) collect();
     try {
-      tickets.push_back(ring.submit(kEcho, to_bytes("f" + std::to_string(i))));
+      tickets.push_back(ring.submit(kEcho, to_bytes(tag("f", i))));
       frame_of.push_back(i);
     } catch (const Error&) {
       break;  // ring stopped mid-pipeline
@@ -429,16 +436,19 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
 
 TEST_F(HostCallFixture, CapacityRoundsToPowerOfTwo) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 3;
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
   EXPECT_EQ(ring.capacity(), 4u);
 }
 
 TEST_F(HostCallFixture, InvalidTicketRejected) {
   auto enclave = load();
-  HostCallRing ring(enclave);
-  EXPECT_THROW(ring.wait(static_cast<HostCallRing::Ticket>(1u << 20)), Error);
+  RingGroup ring(enclave);
+  // Out-of-range slot on a real ring, then a ring the group does not have.
+  EXPECT_THROW(ring.wait(RingGroup::Ticket{0, 1u << 20}), Error);
+  EXPECT_THROW(ring.wait(RingGroup::Ticket{1, 0}), Error);
+  EXPECT_EQ(ring.occupancy(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +457,7 @@ TEST_F(HostCallFixture, InvalidTicketRejected) {
 
 TEST_F(HostCallFixture, ZeroCopyRoundTrip) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const std::string msg = "serialized straight into the slot";
 
   const auto handle = ring.begin_submit(kEcho);
@@ -459,22 +469,22 @@ TEST_F(HostCallFixture, ZeroCopyRoundTrip) {
   const std::size_t n = ring.wait_into(handle.ticket, out);
   EXPECT_EQ(std::string(out.begin(), out.begin() + n), msg);
   EXPECT_EQ(ring.occupancy(), 0u);
-  EXPECT_EQ(ring.stats().jobs, 1u);
-  EXPECT_EQ(ring.stats().submits, 1u);
+  EXPECT_EQ(ring.stats().total.jobs, 1u);
+  EXPECT_EQ(ring.stats().total.submits, 1u);
 }
 
 TEST_F(HostCallFixture, AbandonedHandleFreesTheSlot) {
   auto enclave = load();
-  HostCallOptions options;
+  RingGroupOptions options;
   options.ring_capacity = 2;
-  HostCallRing ring(enclave, options);
+  RingGroup ring(enclave, options);
 
   const auto handle = ring.begin_submit(kEcho);
   EXPECT_EQ(ring.occupancy(), 1u);
   ring.abandon(handle);
   EXPECT_EQ(ring.occupancy(), 0u);
-  EXPECT_EQ(ring.stats().submits, 0u);  // never published, never a job
-  EXPECT_EQ(ring.stats().jobs, 0u);
+  EXPECT_EQ(ring.stats().total.submits, 0u);  // never published, never a job
+  EXPECT_EQ(ring.stats().total.jobs, 0u);
 
   // The slot really is reusable: fill the whole (tiny) ring afterwards.
   EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("a"))), "a");
@@ -483,18 +493,18 @@ TEST_F(HostCallFixture, AbandonedHandleFreesTheSlot) {
 
 TEST_F(HostCallFixture, OversizedPublishRejectedAndSlotFreed) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const auto handle = ring.begin_submit(kEcho);
   EXPECT_THROW(ring.publish(handle, kMaxHostCallPayload + 1), Error);
   // The rejected handle was released, not leaked.
   EXPECT_EQ(ring.occupancy(), 0u);
-  EXPECT_EQ(ring.stats().submits, 0u);
+  EXPECT_EQ(ring.stats().total.submits, 0u);
   EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("still fine"))), "still fine");
 }
 
 TEST_F(HostCallFixture, WaitIntoSmallBufferFailsButFreesTheSlot) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const Bytes big(256, 0x55);
   const auto ticket = ring.submit(kEcho, big);
   std::array<std::uint8_t, 16> tiny{};
@@ -510,7 +520,7 @@ TEST_F(HostCallFixture, WaitIntoSmallBufferFailsButFreesTheSlot) {
 
 TEST_F(HostCallFixture, WaitIntoPropagatesTrustedErrors) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const auto ticket = ring.submit(kFail, {});
   std::array<std::uint8_t, kMaxHostCallPayload> out{};
   try {
@@ -524,7 +534,7 @@ TEST_F(HostCallFixture, WaitIntoPropagatesTrustedErrors) {
 
 TEST_F(HostCallFixture, StopWaitsForUnpublishedHandles) {
   auto enclave = load();
-  HostCallRing ring(enclave);
+  RingGroup ring(enclave);
   const auto handle = ring.begin_submit(kEcho);
   std::memcpy(handle.payload.data(), "held", 4);
 
@@ -561,9 +571,9 @@ TEST_F(HostCallFixture, GroupAffinityKeepsAThreadOnItsHomeRing) {
   ASSERT_LT(home, 2u);
 
   for (int i = 0; i < 8; ++i) {
-    const auto ticket = group.submit(kEcho, to_bytes("a" + std::to_string(i)));
+    const auto ticket = group.submit(kEcho, to_bytes(tag("a", i)));
     EXPECT_EQ(ticket.ring, home);  // never wanders while home has space
-    EXPECT_EQ(to_string(group.wait(ticket)), "a" + std::to_string(i));
+    EXPECT_EQ(to_string(group.wait(ticket)), tag("a", i));
   }
 
   const RingGroupStats stats = group.stats();
@@ -603,11 +613,10 @@ TEST_F(HostCallFixture, GroupFullHomeRingStealsFromSibling) {
   gate_->release();
   std::array<std::uint8_t, kMaxHostCallPayload> out{};
   const std::size_t n =
-      group.wait_into(RingGroup::Ticket{stuck.ring, stuck.inner.ticket}, out);
+      group.wait_into(stuck.ticket, out);
   EXPECT_EQ(std::string(out.begin(), out.begin() + n), "released");
   EXPECT_EQ(to_string(group.wait(queued)), "queued");
-  EXPECT_EQ(group.ring(home).occupancy(), 0u);
-  EXPECT_EQ(group.ring(sibling).occupancy(), 0u);
+  EXPECT_EQ(group.occupancy(), 0u);
 }
 
 TEST_F(HostCallFixture, GroupStatsMatchSerialOracle) {
@@ -624,13 +633,12 @@ TEST_F(HostCallFixture, GroupStatsMatchSerialOracle) {
   for (std::size_t r = 0; r < plan.size(); ++r) {
     for (std::size_t i = 0; i < plan[r]; ++i) {
       auto handle = group.begin_submit_on(r, kEcho);
-      const std::string msg =
-          "r" + std::to_string(r) + "." + std::to_string(i);
-      std::memcpy(handle.inner.payload.data(), msg.data(), msg.size());
+      const std::string msg = tag("r", r) + tag(".", i);
+      std::memcpy(handle.payload.data(), msg.data(), msg.size());
       group.publish(handle, msg.size());
       std::array<std::uint8_t, kMaxHostCallPayload> out{};
       const std::size_t n = group.wait_into(
-          RingGroup::Ticket{handle.ring, handle.inner.ticket}, out);
+          handle.ticket, out);
       EXPECT_EQ(std::string(out.begin(), out.begin() + n), msg);
     }
   }
@@ -680,10 +688,10 @@ TEST_F(HostCallFixture, GroupStopDrainsInFlightWindowsAcrossRings) {
   std::vector<RingGroup::Ticket> tickets;
   for (int i = 0; i < 18; ++i) {
     auto handle = group.begin_submit_on(static_cast<std::size_t>(i) % 3, kEcho);
-    const std::string msg = "w" + std::to_string(i);
-    std::memcpy(handle.inner.payload.data(), msg.data(), msg.size());
+    const std::string msg = tag("w", i);
+    std::memcpy(handle.payload.data(), msg.data(), msg.size());
     group.publish(handle, msg.size());
-    tickets.push_back(RingGroup::Ticket{handle.ring, handle.inner.ticket});
+    tickets.push_back(handle.ticket);
   }
   group.stop();
   EXPECT_TRUE(group.stopped());
@@ -692,11 +700,9 @@ TEST_F(HostCallFixture, GroupStopDrainsInFlightWindowsAcrossRings) {
     std::array<std::uint8_t, kMaxHostCallPayload> out{};
     const std::size_t n = group.wait_into(tickets[static_cast<std::size_t>(i)], out);
     EXPECT_EQ(std::string(out.begin(), out.begin() + n),
-              "w" + std::to_string(i));
+              tag("w", i));
   }
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(group.ring(r).occupancy(), 0u);
-  }
+  EXPECT_EQ(group.occupancy(), 0u);
   EXPECT_THROW(group.submit(kEcho, to_bytes("late")), Error);
   EXPECT_THROW(group.begin_submit(kEcho), Error);
 }
@@ -727,11 +733,11 @@ TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
           // churn so every thread hits every ring and every steal path.
           auto handle = group.begin_submit_on(
               static_cast<std::size_t>(t + i) % 3, kEcho);
-          std::memcpy(handle.inner.payload.data(), msg.data(), msg.size());
+          std::memcpy(handle.payload.data(), msg.data(), msg.size());
           group.publish(handle, msg.size());
           std::array<std::uint8_t, kMaxHostCallPayload> out{};
           const std::size_t n = group.wait_into(
-              RingGroup::Ticket{handle.ring, handle.inner.ticket}, out);
+              handle.ticket, out);
           got.assign(out.begin(), out.begin() + static_cast<long>(n));
         } else {
           got = to_string(group.call(kEcho, to_bytes(msg)));
@@ -751,9 +757,7 @@ TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
   std::uint64_t sum = 0;
   for (const auto& ring_stats : stats.per_ring) sum += ring_stats.jobs;
   EXPECT_EQ(sum, kTotal);
-  for (std::size_t r = 0; r < group.rings(); ++r) {
-    EXPECT_EQ(group.ring(r).occupancy(), 0u);
-  }
+  EXPECT_EQ(group.occupancy(), 0u);
 }
 
 }  // namespace

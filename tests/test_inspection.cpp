@@ -5,9 +5,11 @@
 
 #include <chrono>
 #include <memory>
+#include <random>
 
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
+#include "obs/metrics.h"
 #include "sgx/platform.h"
 #include "vnf/inspection_enclave.h"
 
@@ -240,31 +242,37 @@ TEST_F(InspectionFixture, BurstModesAgree) {
 
   InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
   sync_client.load_rules(demo_rules());
-  const auto sync_out = sync_client.inspect_burst(burst, 1);
-
   const sgx::EcallStats before = enclave->ecall_stats();
-  InspectionClient batched(enclave, InspectionClient::Mode::kBatched);
-  batched.reset_flows();
-  const auto batched_out = batched.inspect_burst(burst, 1);
-  const sgx::EcallStats after = enclave->ecall_stats();
-  // 24 frames, 1 reset, 1 crossing for the whole inspection batch.
-  EXPECT_EQ(after.crossings - before.crossings, 2u);
+  const auto sync_out = sync_client.inspect_burst(burst, 1);
+  // Sync mode pays one crossing per frame.
+  EXPECT_EQ(enclave->ecall_stats().crossings - before.crossings, burst.size());
 
   InspectionClient switchless(enclave, InspectionClient::Mode::kSwitchless);
   switchless.reset_flows();
   const auto switchless_out = switchless.inspect_burst(burst, 1);
 
   ASSERT_EQ(sync_out.size(), burst.size());
-  ASSERT_EQ(batched_out.size(), burst.size());
   ASSERT_EQ(switchless_out.size(), burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(sync_out[i].verdict, batched_out[i].verdict) << i;
     EXPECT_EQ(sync_out[i].verdict, switchless_out[i].verdict) << i;
+    EXPECT_EQ(sync_out[i].rule, switchless_out[i].rule) << i;
     const auto expected = i % 3 == 1 ? dp::InspectVerdict::kDrop
                                      : dp::InspectVerdict::kForward;
     EXPECT_EQ(sync_out[i].verdict, expected) << i;
   }
   EXPECT_GT(enclave->ecall_stats().switchless_jobs, 0u);
+}
+
+TEST_F(InspectionFixture, SyncModeAcceptsFramesOfAnySize) {
+  // The ring's inline-descriptor limit does not apply to sync ECALLs: a
+  // jumbo frame is inspected whole, signature past the ring limit included.
+  InspectionClient client(load());
+  client.load_rules(demo_rules());
+  std::string jumbo(3 * kMaxInlineFramePayload, 'x');
+  jumbo += "/bin/sh";
+  const auto outcome = client.inspect(make_packet(jumbo), 1);
+  EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kDrop);
+  EXPECT_EQ(outcome.rule, "exploit-shell");
 }
 
 TEST_F(InspectionFixture, SwitchlessFailedBurstsDoNotLeakRingSlots) {
@@ -385,15 +393,13 @@ TEST_F(InspectionFixture, SwitchlessInspectorOnThePuntPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy switchless path (FrameDescriptor codec + RingGroup)
+// Switchless path (FrameDescriptor in a RingGroup slot)
 // ---------------------------------------------------------------------------
 
-TEST_F(InspectionFixture, SwitchlessCodecsAgree) {
+TEST_F(InspectionFixture, SwitchlessMatchesSyncAcrossRings) {
   auto enclave = load();
   std::vector<dp::Packet> burst;
   for (int i = 0; i < 24; ++i) {
-    // Verdicts depend only on the payload, never on inspection order, so
-    // multi-ring striping cannot change the expected outcome.
     burst.push_back(make_packet(i % 3 == 1 ? "payload /bin/sh inside"
                                            : "clean payload " +
                                                  std::to_string(i),
@@ -404,29 +410,96 @@ TEST_F(InspectionFixture, SwitchlessCodecsAgree) {
   sync_client.load_rules(demo_rules());
   const auto sync_out = sync_client.inspect_burst(burst, 1);
 
-  InspectionClient::Options tlv_options;
-  tlv_options.mode = InspectionClient::Mode::kSwitchless;
-  tlv_options.codec = InspectionClient::Codec::kTlv;
-  InspectionClient tlv(enclave, tlv_options);
-  tlv.reset_flows();
-  const auto tlv_out = tlv.inspect_burst(burst, 1);
+  InspectionClient::Options options;
+  options.mode = InspectionClient::Mode::kSwitchless;
+  options.rings = 2;
+  InspectionClient switchless(enclave, options);
+  ASSERT_EQ(switchless.rings(), 2u);
+  switchless.reset_flows();
+  const auto switchless_out = switchless.inspect_burst(burst, 1);
 
-  InspectionClient::Options zc_options;
-  zc_options.mode = InspectionClient::Mode::kSwitchless;
-  zc_options.codec = InspectionClient::Codec::kZeroCopy;
-  zc_options.rings = 2;
-  InspectionClient zc(enclave, zc_options);
-  ASSERT_EQ(zc.rings(), 2u);
-  zc.reset_flows();
-  const auto zc_out = zc.inspect_burst(burst, 1);
-
-  ASSERT_EQ(tlv_out.size(), burst.size());
-  ASSERT_EQ(zc_out.size(), burst.size());
+  ASSERT_EQ(switchless_out.size(), burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(sync_out[i].verdict, tlv_out[i].verdict) << i;
-    EXPECT_EQ(sync_out[i].verdict, zc_out[i].verdict) << i;
-    EXPECT_EQ(sync_out[i].rule, zc_out[i].rule) << i;
+    EXPECT_EQ(sync_out[i].verdict, switchless_out[i].verdict) << i;
+    EXPECT_EQ(sync_out[i].rule, switchless_out[i].rule) << i;
   }
+}
+
+TEST_F(InspectionFixture, FlowSteeringKeepsStickyDropsInBurstOrder) {
+  // Each burst opens a fresh flow with a drop-signature frame and follows
+  // it with clean frames of the same flow, interleaved with clean frames of
+  // a second flow. The sticky drop makes every later frame of the first
+  // flow a cached drop, but only if those frames are judged after the
+  // first one: two rings striping frames round-robin race them. Steering
+  // by flow hash keeps one flow on one worker, in burst order.
+  InspectionClient sync_client(load(), InspectionClient::Mode::kSync);
+  sync_client.load_rules(demo_rules());
+  InspectionClient::Options options;
+  options.mode = InspectionClient::Mode::kSwitchless;
+  options.rings = 2;
+  InspectionClient switchless(load(), options);
+  switchless.load_rules(demo_rules());
+
+  std::mt19937 gen(1717);  // standardized output: same bursts everywhere
+  auto below = [&gen](std::uint32_t n) { return gen() % n; };
+  auto filler = [&below](std::size_t size) {
+    std::string s(size, 'a');
+    for (char& c : s) c = static_cast<char>('a' + below(26));
+    return s;
+  };
+  constexpr int kBursts = 1000;
+  int mismatched_bursts = 0;
+  for (int b = 0; b < kBursts; ++b) {
+    const std::uint32_t poisoned_ip = 0x0b000000u + 2u * b;
+    const std::uint32_t clean_ip = poisoned_ip + 1;
+    std::vector<dp::Packet> burst;
+    burst.push_back(make_packet(filler(below(64)) + "/bin/sh" +
+                                    filler(below(64)),
+                                80, poisoned_ip));
+    const std::size_t followers = 3 + below(12);
+    for (std::size_t i = 0; i < followers; ++i) {
+      burst.push_back(
+          make_packet(filler(16 + below(600)), 80, poisoned_ip));
+      if (below(2) == 0) {
+        burst.push_back(make_packet(filler(16 + below(600)), 80, clean_ip));
+      }
+    }
+    const auto expected = sync_client.inspect_burst(burst, 1);
+    const auto got = switchless.inspect_burst(burst, 1);
+    bool same = got.size() == expected.size();
+    for (std::size_t i = 0; same && i < got.size(); ++i) {
+      same = got[i].verdict == expected[i].verdict &&
+             got[i].rule == expected[i].rule;
+    }
+    if (!same) ++mismatched_bursts;
+  }
+  EXPECT_EQ(mismatched_bursts, 0) << "of " << kBursts << " bursts";
+}
+
+TEST_F(InspectionFixture, SwitchlessBurstRecordsOneBurstSample) {
+  InspectionClient client(load(), InspectionClient::Mode::kSwitchless);
+  client.load_rules(demo_rules());
+  const obs::Histogram& frames = obs::registry().histogram(
+      "vnfsgx_inspection_latency_us", {{"mode", "switchless"}});
+  const obs::Histogram& bursts = obs::registry().histogram(
+      "vnfsgx_inspection_burst_us", {{"mode", "switchless"}});
+  const std::uint64_t frames_before = frames.count();
+  const std::uint64_t bursts_before = bursts.count();
+
+  std::vector<dp::Packet> burst;
+  for (int i = 0; i < 24; ++i) {
+    burst.push_back(make_packet("frame " + std::to_string(i), 80,
+                                0x0a000700 + i));
+  }
+  ASSERT_EQ(client.inspect_burst(burst, 1).size(), burst.size());
+  // One burst is one sample: no per-frame averages are invented.
+  EXPECT_EQ(frames.count() - frames_before, 0u);
+  EXPECT_EQ(bursts.count() - bursts_before, 1u);
+
+  // A single-frame inspection is a real per-frame sample.
+  client.inspect(make_packet("one frame"), 1);
+  EXPECT_EQ(frames.count() - frames_before, 1u);
+  EXPECT_EQ(bursts.count() - bursts_before, 1u);
 }
 
 TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
@@ -455,7 +528,6 @@ TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
 TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
   auto enclave = load();
   InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
-  ASSERT_EQ(client.codec(), InspectionClient::Codec::kZeroCopy);
   client.load_rules(demo_rules());
 
   // One byte past the inline-descriptor limit: rejected at the untrusted

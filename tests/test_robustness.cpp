@@ -1,21 +1,26 @@
 // Decoder robustness: every wire-format parser in the system must survive
 // arbitrary corruption — truncation, bit flips, random bytes — by throwing
 // ParseError (or rejecting) rather than crashing or reading out of bounds.
-// Deterministic mutation-based sweeps over all TLV decoders, JSON, and the
-// HTTP parser.
+// Deterministic mutation-based sweeps over all TLV decoders, JSON, the
+// HTTP parser, and the inspection NF's FrameDescriptor/FrameVerdict wire
+// format (decoders and the enclave handler behind them).
 #include <gtest/gtest.h>
 
 #include "common/sim_clock.h"
 #include "core/protocol.h"
 #include "crypto/random.h"
+#include "dataplane/switch.h"
 #include "http/wire.h"
 #include "ima/measurement_list.h"
 #include "ima/tpm.h"
 #include "json/json.h"
 #include "net/inmemory.h"
 #include "pki/ca.h"
+#include "sgx/platform.h"
 #include "sgx/sigstruct.h"
 #include "sgx/structs.h"
+#include "vnf/inspection_enclave.h"
+#include "vnf/inspection_wire.h"
 
 namespace vnfsgx {
 namespace {
@@ -73,7 +78,52 @@ void mutation_sweep(const Bytes& original, DecodeFn decode) {
 struct RobustnessFixture : public ::testing::Test {
   DeterministicRandom rng{99};
   SimClock clock{1'700'000'000};
+
+  /// An inspection enclave with one drop and one alert rule installed.
+  std::shared_ptr<sgx::Enclave> inspection_enclave(sgx::SgxPlatform& platform) {
+    const sgx::EnclaveImage image = vnf::inspection_enclave_image();
+    const auto vendor = crypto::ed25519_generate(rng);
+    auto enclave = platform.load_enclave(
+        image, sgx::sign_enclave(
+                   vendor.seed,
+                   sgx::measure_image(image.code, image.attributes), 1, 1));
+    vnf::RuleSet rules;
+    rules.add({"exploit-shell", to_bytes("/bin/sh"), vnf::RuleAction::kDrop});
+    rules.add({"telnet-probe", to_bytes("admin admin"),
+               vnf::RuleAction::kAlert});
+    enclave->call(vnf::kOpLoadRules, rules.encode());
+    return enclave;
+  }
+
+  static Bytes encoded_frame(const std::string& payload) {
+    vnf::wire::FrameDescriptor header;
+    header.src_ip = 0x0a000001;
+    header.dst_ip = 0x0a000064;
+    header.src_port = 40000;
+    header.dst_port = 80;
+    header.in_port = 1;
+    header.proto = 6;
+    Bytes out(vnf::wire::kFrameHeaderSize + payload.size());
+    vnf::wire::encode_frame(header, to_bytes(payload), out);
+    return out;
+  }
 };
+
+/// A decoded verdict is well formed: a known verdict byte, and a rule name
+/// exactly when the verdict is not a plain forward.
+void expect_well_formed_verdict(ByteView reply) {
+  vnf::wire::FrameVerdict header;
+  const ByteView rule = vnf::wire::decode_verdict(reply, &header);
+  ASSERT_LE(header.verdict, 2);
+  ASSERT_EQ(rule.size(), header.rule_len);
+  ASSERT_EQ(reply.size(), vnf::wire::kVerdictHeaderSize + rule.size());
+  const std::string name(rule.begin(), rule.end());
+  if (header.verdict == 0) {
+    ASSERT_TRUE(name.empty());
+  } else {
+    ASSERT_TRUE(name == "exploit-shell" || name == "telnet-probe") << name;
+  }
+}
 
 TEST_F(RobustnessFixture, CertificateDecoder) {
   pki::CertificateAuthority ca({"ca", "org"}, rng, clock);
@@ -197,6 +247,77 @@ TEST_F(RobustnessFixture, HttpRequestParser) {
     while (conn.read_request().has_value()) {
     }
   });
+}
+
+TEST_F(RobustnessFixture, InspectionWireDecoders) {
+  // decode_frame: a returned payload view always lies inside the input and
+  // matches the header's frame_len.
+  mutation_sweep(encoded_frame("GET / HTTP/1.1 /bin/sh"), [](const Bytes& b) {
+    vnf::wire::FrameDescriptor header;
+    const ByteView payload = vnf::wire::decode_frame(b, &header);
+    ASSERT_EQ(payload.size(), header.frame_len);
+    ASSERT_EQ(payload.data(), b.data() + vnf::wire::kFrameHeaderSize);
+    ASSERT_LE(vnf::wire::kFrameHeaderSize + payload.size(), b.size());
+  });
+
+  // decode_verdict: same bound on the rule-name view.
+  Bytes verdict(vnf::wire::kVerdictHeaderSize + 13);
+  vnf::wire::encode_verdict(1, true, "exploit-shell", verdict);
+  mutation_sweep(verdict, [](const Bytes& b) {
+    vnf::wire::FrameVerdict header;
+    const ByteView rule = vnf::wire::decode_verdict(b, &header);
+    ASSERT_EQ(rule.size(), header.rule_len);
+    ASSERT_EQ(rule.data(), b.data() + vnf::wire::kVerdictHeaderSize);
+    ASSERT_LE(vnf::wire::kVerdictHeaderSize + rule.size(), b.size());
+  });
+}
+
+TEST_F(RobustnessFixture, InspectionEnclaveFrameHandler) {
+  // Mutated descriptors sent through a sync ECALL: the enclave either
+  // rejects the frame (Error) or answers with a well-formed verdict.
+  sgx::PlatformOptions options;
+  options.crossing_cost = std::chrono::nanoseconds(0);
+  sgx::SgxPlatform platform(rng, "robust-ids", options);
+  auto enclave = inspection_enclave(platform);
+  for (const char* payload : {"clean payload", "run /bin/sh now",
+                              "login: admin admin"}) {
+    mutation_sweep(encoded_frame(payload), [&](const Bytes& b) {
+      expect_well_formed_verdict(enclave->call(vnf::kOpInspectFrame, b));
+    });
+  }
+}
+
+TEST_F(RobustnessFixture, RetiredInspectOpcodeFailsClosed) {
+  sgx::PlatformOptions options;
+  options.crossing_cost = std::chrono::nanoseconds(0);
+  sgx::SgxPlatform platform(rng, "robust-ids", options);
+  auto enclave = inspection_enclave(platform);
+  constexpr std::uint32_t kRetiredInspectOpcode = 2;
+  const Bytes frame = encoded_frame("run /bin/sh now");
+  try {
+    enclave->call(kRetiredInspectOpcode, frame);
+    FAIL() << "retired opcode accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown opcode"), std::string::npos);
+  }
+
+  // A punt hook still speaking the retired opcode fails closed at the
+  // switch: the frame drops, it never forwards uninspected.
+  dataplane::Switch sw(1);
+  sw.set_inspector([&](const dataplane::Packet& packet, std::uint16_t) {
+    enclave->call(kRetiredInspectOpcode, packet.payload);
+    return dataplane::InspectionOutcome{};
+  });
+  dataplane::FlowEntry punt;
+  punt.name = "punt";
+  punt.action = dataplane::Action::inspect(2);
+  sw.add_flow(punt);
+  dataplane::Packet packet;
+  packet.payload = to_bytes("clean payload");
+  const auto result = sw.process(packet, 1);
+  EXPECT_EQ(result.kind, dataplane::ForwardingResult::Kind::kDropped);
+  EXPECT_NE(result.inspect_rule.find("inspector-error"), std::string::npos);
+  EXPECT_NE(result.inspect_rule.find("unknown opcode"), std::string::npos);
 }
 
 TEST_F(RobustnessFixture, HttpResponseParser) {
