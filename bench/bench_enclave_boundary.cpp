@@ -8,7 +8,9 @@
 // IDS at 64B/512B/1500B payloads with the simulator's default 2us crossing
 // cost, reporting packets/sec (items) and crossings per frame (counter).
 // BM_InspectOutsideEnclave runs the identical matcher + flow table in
-// untrusted memory as the no-SGX baseline.
+// untrusted memory as the no-SGX baseline, and BM_RuleMatcher times the
+// compiled matcher alone in ns per payload byte (fig1bench's `vnf.inspect`
+// ledger row is mostly this scan).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -193,6 +195,47 @@ BENCHMARK(BM_InspectOutsideEnclave)
     ->Arg(512)
     ->Arg(1500)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_RuleMatcher(benchmark::State& state) {
+  // fig1bench `dataplane`'s two rules over one IMIX cycle (7x64 : 4x576 :
+  // 1x1500 bytes). Arg 0: lowercase filler as in fig1bench, so the first-byte
+  // skip covers nearly every byte. Arg 1: only the rules' first bytes, so
+  // every byte takes a transition (the skip's worst case).
+  vnf::RuleSet rules;
+  rules.add({"bench-drop", to_bytes("EVIL-DROP-SIG-0001"),
+             vnf::RuleAction::kDrop});
+  rules.add({"bench-alert", to_bytes("ALERT-SIG-0002"),
+             vnf::RuleAction::kAlert});
+  const vnf::RuleMatcher matcher(rules);
+  const bool adversarial = state.range(0) == 1;
+  crypto::DeterministicRandom rng(43);
+  std::vector<Bytes> payloads;
+  for (const std::size_t size :
+       {64, 64, 64, 64, 64, 64, 64, 576, 576, 576, 576, 1500}) {
+    Bytes payload = rng.bytes(size);
+    for (auto& b : payload) {
+      b = adversarial ? ((b & 1) != 0 ? 'E' : 'A')
+                      : static_cast<std::uint8_t>('a' + b % 26);
+    }
+    payloads.push_back(std::move(payload));
+  }
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    for (const Bytes& payload : payloads) {
+      benchmark::DoNotOptimize(matcher.match(payload, 80, 6));
+      bytes += static_cast<std::int64_t>(payload.size());
+    }
+  }
+  state.SetBytesProcessed(bytes);
+  state.counters["ns_per_byte"] =
+      benchmark::Counter(static_cast<double>(bytes) * 1e-9,
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+  state.counters["compiled_bytes"] =
+      static_cast<double>(matcher.compiled_bytes());
+  state.SetLabel(adversarial ? "only rule first bytes" : "lowercase IMIX");
+}
+BENCHMARK(BM_RuleMatcher)->Arg(0)->Arg(1);
 
 void BM_RawBoundaryEcho(benchmark::State& state) {
   // Strips the NF out: bare opcode dispatch through each discipline shows

@@ -1,14 +1,15 @@
 // Signature rules for the in-enclave inspection NF: a named byte-pattern
 // table (Snort-style content rules with optional header constraints) with a
-// TLV wire form, plus a compiled Aho-Corasick multi-pattern matcher.
+// TLV wire form, plus a multi-pattern matcher compiled to a flat DFA.
 //
 // This header deliberately stays free of enclave and dataplane types: the
 // same code compiles into the trusted logic (where the rules live) and into
 // provisioning tools (which only encode them).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,12 +52,21 @@ class RuleSet {
   std::vector<InspectionRule> rules_;
 };
 
-/// Aho-Corasick automaton over a RuleSet: one pass over the payload finds
-/// every pattern hit regardless of rule count.
+/// Upper bound on a compiled RuleMatcher: transition table plus output
+/// lists. Rule sets past it are refused, so a rule blob cannot make the
+/// enclave allocate without limit.
+inline constexpr std::size_t kMaxMatcherBytes = std::size_t{4} << 20;
+
+/// Aho-Corasick automaton over a RuleSet, compiled to a dense DFA: bytes map
+/// to equivalence classes (one per byte occurring in some pattern, plus one
+/// for every other byte), failure links are folded into a state x class
+/// transition table, and each state keeps one flat list of the rules ending
+/// at it. One table lookup per payload byte; while the automaton sits in the
+/// root state it skips ahead to the next byte that can start a pattern.
 class RuleMatcher {
  public:
+  /// Throws Error when the compiled form would exceed kMaxMatcherBytes.
   explicit RuleMatcher(const RuleSet& rules);
-  ~RuleMatcher();
   RuleMatcher(const RuleMatcher&) = delete;
   RuleMatcher& operator=(const RuleMatcher&) = delete;
 
@@ -65,10 +75,29 @@ class RuleMatcher {
   std::optional<std::size_t> match(ByteView payload, std::uint16_t dst_port,
                                    std::uint8_t proto) const;
 
+  /// Bytes of the compiled form (table and output lists), <= the cap.
+  std::size_t compiled_bytes() const;
+
  private:
-  struct Node;
+  /// First index >= `at` whose byte can start a pattern, or `size`.
+  std::size_t skip_to_start(const std::uint8_t* data, std::size_t at,
+                            std::size_t size) const;
+
   const std::vector<InspectionRule> rules_;
-  std::vector<Node> nodes_;
+  std::array<std::uint16_t, 256> class_of_{};
+  std::uint32_t classes_ = 1;
+  // Entry = target state * classes_, the target's row offset. States that
+  // report rules are numbered last, from row hit_row_ on; the k-th of them
+  // reports out_rules_[out_begin_[k] .. out_begin_[k + 1]).
+  std::vector<std::uint32_t> table_;
+  std::uint32_t hit_row_ = 0;
+  std::vector<std::uint32_t> out_begin_;
+  std::vector<std::uint32_t> out_rules_;
+  // Bytes that start some pattern: a 256-entry map, and (when there are at
+  // most four of them) the same set for the 16-byte SIMD compare.
+  std::array<std::uint8_t, 256> starts_{};
+  std::array<std::uint8_t, 4> start_bytes_{};
+  bool simd_skip_ = false;
 };
 
 }  // namespace vnfsgx::vnf

@@ -1,11 +1,14 @@
-// In-enclave inspection NF tests: rule table encoding, the Aho-Corasick
-// matcher, enclave verdicts + flow/verdict-cache state, sealed rule
+// In-enclave inspection NF tests: rule table encoding, the compiled
+// Aho-Corasick matcher (differential against a naive search), enclave verdicts + flow/verdict-cache state, sealed rule
 // provisioning, and the dataplane punt path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
 #include <random>
+#include <set>
 
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
@@ -141,6 +144,243 @@ TEST(InspectionRulesTest, OverlappingPatternsAllDetected) {
   const auto she = matcher.match(to_bytes("ushe"), 0, 0);
   ASSERT_TRUE(she.has_value());
   EXPECT_EQ(rules.rules()[*she].name, "he");  // earliest rule among alerts
+}
+
+/// "<prefix><n>", appended rather than concatenated: GCC 12 reports a
+/// false -Wrestrict on `"literal" + std::to_string(n)` in these loops.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+/// The reference the compiled matcher must agree with: std::search per rule,
+/// then the same choice (the earliest drop rule, else the earliest alert).
+std::optional<std::size_t> naive_match(const RuleSet& rules, ByteView payload,
+                                       std::uint16_t dst_port,
+                                       std::uint8_t proto) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const InspectionRule& rule = rules.rules()[i];
+    if (rule.dst_port != 0 && rule.dst_port != dst_port) continue;
+    if (rule.proto != 0 && rule.proto != proto) continue;
+    if (std::search(payload.begin(), payload.end(), rule.pattern.begin(),
+                    rule.pattern.end()) == payload.end()) {
+      continue;
+    }
+    if (!best || (rule.action == RuleAction::kDrop &&
+                  rules.rules()[*best].action != RuleAction::kDrop)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+/// Seeded random rule sets and payloads built to stress the automaton:
+/// shared prefixes, patterns that are suffixes of others, 1-byte and
+/// duplicate patterns, 0x00/0xff bytes, and header constraints. Every
+/// pattern starts with a byte from `starts`, so a set has exactly as many
+/// distinct first bytes as the generator chose.
+class RuleFuzzer {
+ public:
+  explicit RuleFuzzer(std::uint32_t seed) : rng_(seed) {}
+
+  RuleSet rule_set(std::size_t distinct_starts) {
+    starts_.clear();
+    std::vector<std::uint8_t> pool(kAlphabet.begin(), kAlphabet.end());
+    std::shuffle(pool.begin(), pool.end(), rng_);
+    starts_.assign(pool.begin(),
+                   pool.begin() + static_cast<std::ptrdiff_t>(distinct_starts));
+    RuleSet rules;
+    std::vector<Bytes> patterns;
+    const std::size_t count = 1 + below(40);
+    // The first rules use every start byte once, so the set really has
+    // `distinct_starts` of them.
+    for (std::size_t i = 0; i < count || i < starts_.size(); ++i) {
+      Bytes pattern;
+      const std::size_t kind = patterns.empty() ? 0 : below(5);
+      if (i < starts_.size() || kind == 0) {  // fresh
+        pattern.push_back(i < starts_.size() ? starts_[i] : start());
+        const std::size_t len = below(10);
+        for (std::size_t k = 0; k < len; ++k) pattern.push_back(byte());
+      } else if (kind == 1) {  // shares a prefix with an earlier pattern
+        pattern = pick(patterns);
+        const std::size_t len = 1 + below(6);
+        for (std::size_t k = 0; k < len; ++k) pattern.push_back(byte());
+      } else if (kind == 2) {  // an earlier pattern is its suffix
+        pattern.push_back(start());
+        const std::size_t len = below(4);
+        for (std::size_t k = 0; k < len; ++k) pattern.push_back(byte());
+        const Bytes& tail = pick(patterns);
+        pattern.insert(pattern.end(), tail.begin(), tail.end());
+      } else if (kind == 3) {  // one byte
+        pattern.push_back(start());
+      } else {  // the same pattern again, under another name
+        pattern = pick(patterns);
+      }
+      InspectionRule rule;
+      rule.name = numbered("r", i);
+      rule.pattern = pattern;
+      rule.action = below(2) == 0 ? RuleAction::kDrop : RuleAction::kAlert;
+      rule.dst_port = std::array<std::uint16_t, 4>{0, 0, 80, 443}[below(4)];
+      rule.proto = std::array<std::uint8_t, 4>{0, 0, 6, 17}[below(4)];
+      rules.add(std::move(rule));
+      patterns.push_back(std::move(pattern));
+    }
+    return rules;
+  }
+
+  /// `size` bytes: either dense in pattern bytes (the automaton rarely
+  /// rests in the root) or mostly other bytes (the skip does the work).
+  Bytes background(std::size_t size) {
+    Bytes out(size);
+    const bool dense = below(2) == 0;
+    for (auto& b : out) {
+      b = dense || below(16) == 0 ? byte()
+                                  : static_cast<std::uint8_t>(0x20 + below(26));
+    }
+    return out;
+  }
+
+  std::size_t below(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+
+ private:
+  static constexpr std::array<std::uint8_t, 12> kAlphabet = {
+      0x00, 0xff, 0x10, 0x80, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'};
+
+  std::uint8_t byte() { return kAlphabet[below(kAlphabet.size())]; }
+  std::uint8_t start() { return starts_[below(starts_.size())]; }
+  const Bytes& pick(const std::vector<Bytes>& from) {
+    return from[below(from.size())];
+  }
+
+  std::mt19937 rng_;
+  std::vector<std::uint8_t> starts_;
+};
+
+void plant(Bytes& payload, const Bytes& pattern, std::size_t at) {
+  std::copy(pattern.begin(), pattern.end(),
+            payload.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+TEST(InspectionRulesTest, CompiledMatcherAgreesWithNaiveSearch) {
+  RuleFuzzer fuzz(2024);
+  constexpr std::uint16_t kPorts[] = {80, 443, 53};
+  constexpr std::uint8_t kProtos[] = {6, 17, 6};
+  std::size_t checked = 0;
+  std::size_t hits = 0;  // checks where some rule matched
+  std::size_t mismatches = 0;
+  std::set<std::size_t> start_counts;
+  for (int set = 0; set < 240; ++set) {
+    // 1-4 distinct first bytes take the SIMD skip, 5-12 the bitmap loop.
+    const std::size_t distinct = set % 2 == 0 ? 1 + fuzz.below(4)
+                                              : 5 + fuzz.below(8);
+    const RuleSet rules = fuzz.rule_set(distinct);
+    std::set<std::uint8_t> firsts;
+    for (const auto& rule : rules.rules()) firsts.insert(rule.pattern[0]);
+    ASSERT_EQ(firsts.size(), distinct);
+    start_counts.insert(distinct);
+    const RuleMatcher matcher(rules);
+
+    const auto check = [&](const Bytes& payload, std::size_t queries) {
+      for (std::size_t q = 0; q < queries; ++q) {
+        const auto got = matcher.match(payload, kPorts[q], kProtos[q]);
+        const auto want = naive_match(rules, payload, kPorts[q], kProtos[q]);
+        ++checked;
+        hits += want.has_value() ? 1 : 0;
+        if (got != want) {
+          ++mismatches;
+          ADD_FAILURE() << "set " << set << ", " << payload.size()
+                        << "-byte payload, query " << q << ": got "
+                        << (got ? std::to_string(*got) : "none") << ", want "
+                        << (want ? std::to_string(*want) : "none");
+        }
+      }
+    };
+    const auto pattern_of = [&](std::size_t r) -> const Bytes& {
+      return rules.rules()[r].pattern;
+    };
+    for (int p = 0; p < 6; ++p) {
+      const std::size_t size =
+          p == 0 ? fuzz.below(17) : fuzz.below(1601);  // short ones too
+      Bytes payload = fuzz.background(size);
+      check(payload, 3);
+      const Bytes& pattern = pattern_of(fuzz.below(rules.size()));
+      if (pattern.size() > payload.size()) continue;
+      Bytes first = payload;
+      plant(first, pattern, 0);
+      check(first, 3);
+      Bytes last = payload;
+      plant(last, pattern, payload.size() - pattern.size());
+      check(last, 3);
+      // One hit straddling (or, for 1-byte patterns, ending at) every
+      // 16-byte boundary of the payload.
+      Bytes crossing = payload;
+      for (std::size_t edge = 16; edge < crossing.size(); edge += 16) {
+        const Bytes& hit = pattern_of(fuzz.below(rules.size()));
+        const std::size_t back = 1 + fuzz.below(hit.size());
+        if (back > edge || edge - back + hit.size() > crossing.size()) continue;
+        plant(crossing, hit, edge - back);
+      }
+      check(crossing, 3);
+    }
+    // Every boundary on its own: one hit per payload, on the full-size frame.
+    if (set < 8) {
+      const Bytes clean = fuzz.background(1600);
+      const Bytes& hit = pattern_of(fuzz.below(rules.size()));
+      for (std::size_t edge = 16; edge + hit.size() <= 1600; edge += 16) {
+        Bytes payload = clean;
+        plant(payload, hit, edge - 1 - fuzz.below(std::min<std::size_t>(
+                                           hit.size(), edge)));
+        check(payload, 1);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " payload checks";
+  EXPECT_GT(checked, 5000u);
+  EXPECT_GT(hits, checked / 4);  // both verdict kinds are well covered
+  EXPECT_LT(hits, checked - checked / 10);
+  EXPECT_EQ(start_counts.size(), 12u);  // 1 through 12 distinct first bytes
+}
+
+TEST(InspectionRulesTest, MatcherRejectsTablesOverTheCap) {
+  // All 256 byte values in the patterns make 257 classes: about 4,100
+  // states already exceed the cap.
+  RuleSet rules;
+  DeterministicRandom rng(77);
+  for (int r = 0; r < 5; ++r) {
+    InspectionRule rule = make_rule(numbered("big-", r), "");
+    rule.pattern = rng.bytes(1000);
+    if (r == 0) {
+      for (int b = 0; b < 256; ++b) {
+        rule.pattern[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(b);
+      }
+    }
+    rules.add(std::move(rule));
+  }
+  EXPECT_THROW(RuleMatcher{rules}, Error);
+
+  // The same bytes in fewer states fit, and report their size.
+  RuleSet fits;
+  fits.add(rules.rules()[0]);
+  const RuleMatcher matcher(fits);
+  EXPECT_GT(matcher.compiled_bytes(), 1000u * 257u * 4u);
+  EXPECT_LE(matcher.compiled_bytes(), kMaxMatcherBytes);
+  const auto hit = matcher.match(fits.rules()[0].pattern, 0, 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, 0u);
+}
+
+TEST(InspectionRulesTest, OutputListsCountTowardTheCap) {
+  // "a", "aa", ..., a^n: a small table (n states, two classes), but state
+  // a^k reports k rules, so the flat output lists grow as n^2 / 2.
+  RuleSet rules;
+  for (std::size_t n = 1; n <= 1500; ++n) {
+    rules.add(make_rule(numbered("a", n), std::string(n, 'a')));
+  }
+  EXPECT_THROW(RuleMatcher{rules}, Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // arbitrary corruption — truncation, bit flips, random bytes — by throwing
 // ParseError (or rejecting) rather than crashing or reading out of bounds.
 // Deterministic mutation-based sweeps over all TLV decoders, JSON, the
-// HTTP parser, and the inspection NF's FrameDescriptor/FrameVerdict wire
+// HTTP parser, the inspection NF's rule blobs (decoder, compiled matcher,
+// and the enclave's rule loading) and its FrameDescriptor/FrameVerdict wire
 // format (decoders and the enclave handler behind them).
 #include <gtest/gtest.h>
 
@@ -79,7 +80,16 @@ struct RobustnessFixture : public ::testing::Test {
   DeterministicRandom rng{99};
   SimClock clock{1'700'000'000};
 
-  /// An inspection enclave with one drop and one alert rule installed.
+  /// One drop and one alert rule.
+  static vnf::RuleSet ids_rules() {
+    vnf::RuleSet rules;
+    rules.add({"exploit-shell", to_bytes("/bin/sh"), vnf::RuleAction::kDrop});
+    rules.add({"telnet-probe", to_bytes("admin admin"),
+               vnf::RuleAction::kAlert});
+    return rules;
+  }
+
+  /// An inspection enclave with ids_rules() installed.
   std::shared_ptr<sgx::Enclave> inspection_enclave(sgx::SgxPlatform& platform) {
     const sgx::EnclaveImage image = vnf::inspection_enclave_image();
     const auto vendor = crypto::ed25519_generate(rng);
@@ -87,11 +97,7 @@ struct RobustnessFixture : public ::testing::Test {
         image, sgx::sign_enclave(
                    vendor.seed,
                    sgx::measure_image(image.code, image.attributes), 1, 1));
-    vnf::RuleSet rules;
-    rules.add({"exploit-shell", to_bytes("/bin/sh"), vnf::RuleAction::kDrop});
-    rules.add({"telnet-probe", to_bytes("admin admin"),
-               vnf::RuleAction::kAlert});
-    enclave->call(vnf::kOpLoadRules, rules.encode());
+    enclave->call(vnf::kOpLoadRules, ids_rules().encode());
     return enclave;
   }
 
@@ -247,6 +253,81 @@ TEST_F(RobustnessFixture, HttpRequestParser) {
     while (conn.read_request().has_value()) {
     }
   });
+}
+
+TEST_F(RobustnessFixture, RuleSetDecoder) {
+  // A blob that decodes also compiles, and the matcher only names rules
+  // that exist.
+  vnf::RuleSet rules = ids_rules();
+  rules.add({"sqli-web", to_bytes("' OR 1=1"), vnf::RuleAction::kDrop, 80, 6});
+  const Bytes payload = to_bytes("GET /?q=' OR 1=1 /bin/sh admin admin");
+  mutation_sweep(rules.encode(), [&](const Bytes& b) {
+    const vnf::RuleSet decoded = vnf::RuleSet::decode(b);
+    const vnf::RuleMatcher matcher(decoded);
+    const auto hit = matcher.match(payload, 80, 6);
+    if (hit) {
+      ASSERT_LT(*hit, decoded.size());
+    }
+  });
+}
+
+TEST_F(RobustnessFixture, RejectedRuleLoadsKeepTheInstalledRules) {
+  sgx::PlatformOptions options;
+  options.crossing_cost = std::chrono::nanoseconds(0);
+  sgx::SgxPlatform platform(rng, "robust-ids", options);
+  auto enclave = inspection_enclave(platform);
+  const Bytes drop_frame = encoded_frame("run /bin/sh now");
+  std::size_t rejected = 0;
+  // The drop frame still gets the installed rule's verdict from the
+  // matcher (flows reset first, so no sticky verdict answers instead).
+  const auto expect_installed_rules = [&] {
+    enclave->call(vnf::kOpResetFlows, {});
+    vnf::wire::FrameVerdict header;
+    const Bytes reply = enclave->call(vnf::kOpInspectFrame, drop_frame);
+    const ByteView rule = vnf::wire::decode_verdict(reply, &header);
+    ASSERT_EQ(header.verdict, 1);
+    ASSERT_EQ(header.cached, 0);
+    ASSERT_EQ(std::string(rule.begin(), rule.end()), "exploit-shell");
+  };
+
+  // Over the cap: all 256 byte values make 257 classes, and 5,000 pattern
+  // bytes make about 5,000 states.
+  vnf::RuleSet too_big;
+  too_big.add({"replacement-shell", to_bytes("/bin/sh"),
+               vnf::RuleAction::kDrop});
+  Bytes every_byte(256);
+  for (std::size_t b = 0; b < every_byte.size(); ++b) {
+    every_byte[b] = static_cast<std::uint8_t>(b);
+  }
+  too_big.add({"every-byte", every_byte, vnf::RuleAction::kAlert});
+  for (const char* name : {"bulk-1", "bulk-2", "bulk-3", "bulk-4", "bulk-5"}) {
+    too_big.add({name, rng.bytes(1000), vnf::RuleAction::kAlert});
+  }
+  try {
+    enclave->call(vnf::kOpLoadRules, too_big.encode());
+    FAIL() << "over-cap rule set installed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cap"), std::string::npos)
+        << e.what();
+  }
+  expect_installed_rules();
+
+  // Mutated blobs: every rejected one leaves the installed rules in place;
+  // an accepted one is undone.
+  vnf::RuleSet replacement;
+  replacement.add({"replacement-shell", to_bytes("/bin/sh"),
+                   vnf::RuleAction::kDrop});
+  mutation_sweep(replacement.encode(), [&](const Bytes& b) {
+    try {
+      enclave->call(vnf::kOpLoadRules, b);
+    } catch (const Error&) {
+      ++rejected;
+      expect_installed_rules();
+      throw;
+    }
+    enclave->call(vnf::kOpLoadRules, ids_rules().encode());
+  });
+  EXPECT_GT(rejected, 50u);
 }
 
 TEST_F(RobustnessFixture, InspectionWireDecoders) {
