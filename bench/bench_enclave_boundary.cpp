@@ -7,17 +7,22 @@
 // Each mode pushes bursts of frames through the in-enclave signature-match
 // IDS at 64B/512B/1500B payloads with the simulator's default 2us crossing
 // cost, reporting packets/sec (items) and crossings per frame (counter).
+// BM_InspectSwitchless has a one-CPU arm (submitter and ring worker pinned
+// together, as fig1bench `dataplane` runs them).
 // BM_InspectOutsideEnclave runs the identical matcher + flow table in
 // untrusted memory as the no-SGX baseline, and BM_RuleMatcher times the
 // compiled matcher alone in ns per payload byte (fig1bench's `vnf.inspect`
 // ledger row is mostly this scan).
 #include <benchmark/benchmark.h>
 
-#include <map>
+#include <pthread.h>
+#include <sched.h>
+
 #include <vector>
 
 #include "crypto/random.h"
 #include "sgx/platform.h"
+#include "vnf/flow_table.h"
 #include "vnf/inspection_enclave.h"
 
 namespace {
@@ -127,13 +132,46 @@ BENCHMARK(BM_InspectSyncEcall)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectSwitchless(benchmark::State& state) {
-  run_inspection(state, vnf::InspectionClient::Mode::kSwitchless,
-                 "hostcall ring, resident worker");
+  // Arg 1 = 1: the submitting thread and the ring worker share one CPU, as
+  // in fig1bench `dataplane` (the worker inherits the creating thread's
+  // CPU mask). Unpinned, the two hand slots across CPUs.
+  const bool one_cpu = state.range(1) != 0;
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  bool pinned = false;
+  if (one_cpu &&
+      pthread_getaffinity_np(pthread_self(), sizeof saved, &saved) == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &saved)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    pinned = pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0;
+  }
+  if (one_cpu && !pinned) {
+    state.SkipWithError("could not pin to one CPU");
+    return;
+  }
+  {
+    BoundaryBench bench(vnf::InspectionClient::Mode::kSwitchless);
+    run_inspection_loop(state, bench,
+                        one_cpu ? "hostcall ring, worker on the submitter's cpu"
+                                : "hostcall ring, resident worker");
+  }  // the worker is joined before the mask is restored
+  if (pinned) pthread_setaffinity_np(pthread_self(), sizeof saved, &saved);
 }
 BENCHMARK(BM_InspectSwitchless)
-    ->Arg(64)
-    ->Arg(512)
-    ->Arg(1500)
+    // Args: {frame bytes, one cpu}.
+    ->Args({64, 0})
+    ->Args({512, 0})
+    ->Args({1500, 0})
+    ->Args({64, 1})
+    ->Args({512, 1})
+    ->Args({1500, 1})
+    ->UseRealTime()  // the work runs on the ring worker, not this thread
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectSwitchlessSweep(benchmark::State& state) {
@@ -156,30 +194,25 @@ BENCHMARK(BM_InspectSwitchlessSweep)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectOutsideEnclave(benchmark::State& state) {
-  // The no-SGX baseline: identical matcher + flow bookkeeping, but rules
-  // and per-flow state sit in untrusted memory (what the paper forbids).
+  // The no-SGX baseline: identical matcher + flow bookkeeping (the same
+  // flat FlowTable, one lookup per frame, sticky drop), but rules and
+  // per-flow state sit in untrusted memory (what the paper forbids).
   const vnf::RuleSet rules = bench_rules();
   const vnf::RuleMatcher matcher(rules);
   const auto burst = make_burst(static_cast<std::size_t>(state.range(0)));
-  struct Flow {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    bool poisoned = false;
-  };
-  std::map<std::uint64_t, Flow> flows;
+  vnf::FlowTable flows;
   std::int64_t frames = 0;
   for (auto _ : state) {
     for (const auto& p : burst) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(p.src_ip) << 32) ^ p.dst_ip ^
-          (static_cast<std::uint64_t>(p.src_port) << 16) ^ p.dst_port;
-      Flow& flow = flows[key];
-      ++flow.packets;
-      flow.bytes += p.payload.size();
-      if (!flow.poisoned) {
+      const vnf::FlowTable::Key key = vnf::FlowTable::make_key(
+          p.src_ip, p.dst_ip, p.src_port, p.dst_port,
+          static_cast<std::uint8_t>(p.proto));
+      vnf::FlowTable::Flow& flow =
+          flows.touch(key, vnf::FlowTable::hash(key), p.payload.size());
+      if (flow.poison_rule == vnf::FlowTable::kNotPoisoned) {
         const auto hit = matcher.match(p.payload, p.dst_port,
                                        static_cast<std::uint8_t>(p.proto));
-        if (hit) flow.poisoned = true;
+        if (hit) flow.poison_rule = static_cast<std::uint32_t>(*hit);
         benchmark::DoNotOptimize(hit);
       }
       ++frames;

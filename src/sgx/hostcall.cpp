@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -59,9 +58,9 @@ class RingGroup::Ring {
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
-  /// Claim a slot; `block` waits out a full ring (backpressure), otherwise
-  /// a full ring yields nullopt. Throws Error once stopped.
-  std::optional<SubmitHandle> claim(std::uint32_t opcode, bool block);
+  /// Claim a slot, waiting out a full ring (backpressure). Throws Error
+  /// once stopped.
+  SubmitHandle claim(std::uint32_t opcode);
   void publish(std::uint32_t slot, std::size_t payload_len);
   void abandon(std::uint32_t slot);
   std::size_t wait_into(std::uint32_t slot, std::span<std::uint8_t> out);
@@ -74,7 +73,6 @@ class RingGroup::Ring {
     return occupancy_.load(std::memory_order_relaxed);
   }
   std::size_t capacity() const { return capacity_; }
-  const std::string& name() const { return name_; }
   HostCallStats stats() const;
 
  private:
@@ -255,8 +253,7 @@ void RingGroup::Ring::release_slot(Slot& slot) {
   }
 }
 
-std::optional<RingGroup::SubmitHandle> RingGroup::Ring::claim(
-    std::uint32_t opcode, bool block) {
+RingGroup::SubmitHandle RingGroup::Ring::claim(std::uint32_t opcode) {
   // The submitter count stays elevated until publish()/abandon(): stop()
   // phase 2 must wait out claimed-but-unpublished handles too, or phase 3
   // could join the worker while a publish is still in flight.
@@ -265,15 +262,11 @@ std::optional<RingGroup::SubmitHandle> RingGroup::Ring::claim(
     if (!accepting_.load(std::memory_order_seq_cst)) {
       throw Error("hostcall: ring '" + name_ + "' stopped");
     }
-    Slot* slot = block ? &claim_slot() : try_claim();
-    if (slot == nullptr) {
-      leave_submitter();
-      return std::nullopt;
-    }
-    slot->opcode = opcode;
+    Slot& slot = claim_slot();
+    slot.opcode = opcode;
     return SubmitHandle{
-        Ticket{index_, static_cast<std::uint32_t>(slot - slots_.get())},
-        std::span<std::uint8_t>(slot->payload.data(), kMaxHostCallPayload)};
+        Ticket{index_, static_cast<std::uint32_t>(&slot - slots_.get())},
+        std::span<std::uint8_t>(slot.payload.data(), kMaxHostCallPayload)};
   } catch (...) {
     leave_submitter();
     throw;
@@ -525,14 +518,9 @@ RingGroup::RingGroup(std::shared_ptr<Enclave> enclave,
   if (!enclave) throw Error("hostcall: null enclave");
   const std::size_t n = std::max<std::size_t>(options.rings, 1);
   rings_.reserve(n);
-  steal_counters_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     rings_.push_back(std::make_unique<Ring>(static_cast<std::uint32_t>(i),
                                             enclave, options));
-    steal_counters_.push_back(&obs::registry().counter(
-        "vnfsgx_hostcall_steals_total", {{"ring", rings_.back()->name()}},
-        "Slot claims diverted to this ring because the submitter's home "
-        "ring was full"));
   }
 }
 
@@ -573,23 +561,7 @@ std::size_t RingGroup::home_index() const {
 }
 
 RingGroup::SubmitHandle RingGroup::begin_submit(std::uint32_t opcode) {
-  const std::size_t home = home_index();
-  if (auto handle = rings_[home]->claim(opcode, false)) {
-    affinity_submits_.fetch_add(1, std::memory_order_release);
-    return *handle;
-  }
-  // Home ring full: steal a slot from a sibling before blocking.
-  for (std::size_t offset = 1; offset < rings_.size(); ++offset) {
-    const std::size_t r = (home + offset) % rings_.size();
-    if (auto handle = rings_[r]->claim(opcode, false)) {
-      steals_.fetch_add(1, std::memory_order_release);
-      steal_counters_[r]->add();
-      return *handle;
-    }
-  }
-  // Every ring full: backpressure on home (never drop).
-  affinity_submits_.fetch_add(1, std::memory_order_release);
-  return *rings_[home]->claim(opcode, true);
+  return rings_[home_index()]->claim(opcode);
 }
 
 RingGroup::SubmitHandle RingGroup::begin_submit_on(std::size_t ring_index,
@@ -597,7 +569,7 @@ RingGroup::SubmitHandle RingGroup::begin_submit_on(std::size_t ring_index,
   if (ring_index >= rings_.size()) {
     throw Error("hostcall: ring index out of range");
   }
-  return *rings_[ring_index]->claim(opcode, true);
+  return rings_[ring_index]->claim(opcode);
 }
 
 void RingGroup::publish(const SubmitHandle& handle, std::size_t payload_len) {
@@ -653,8 +625,6 @@ RingGroupStats RingGroup::stats() const {
     s.total.backpressure_waits += r.backpressure_waits;
     s.per_ring.push_back(r);
   }
-  s.affinity_submits = affinity_submits_.load(std::memory_order_acquire);
-  s.steals = steals_.load(std::memory_order_acquire);
   return s;
 }
 

@@ -19,9 +19,9 @@
 //     performs zero heap allocations.
 //
 // Ring choice: a submitting thread sticks to its home ring (cache locality,
-// contention-free claims) and steals a slot on a sibling rather than block
-// when home is full; begin_submit_on() pins a job to one ring, which is how
-// the inspection NF keeps each flow on one worker.
+// contention-free claims) and blocks there when home is full;
+// begin_submit_on() pins a job to one ring, which is how the inspection NF
+// keeps each flow on one worker.
 //
 // Idle policy is spin-then-park: after `spin_polls` empty polls a worker
 // exits the enclave and parks on a condition variable, so an idle enclave
@@ -41,10 +41,6 @@
 #include <vector>
 
 #include "sgx/enclave.h"
-
-namespace vnfsgx::obs {
-class Counter;
-}  // namespace vnfsgx::obs
 
 namespace vnfsgx::sgx {
 
@@ -79,15 +75,13 @@ struct RingGroupOptions {
 struct RingGroupStats {
   HostCallStats total;
   std::vector<HostCallStats> per_ring;
-  std::uint64_t affinity_submits = 0;  // claims landed on the home ring
-  std::uint64_t steals = 0;            // claims diverted to a sibling ring
 };
 
 /// N hostcall rings over one enclave, each with its own resident worker.
 /// Submitting threads are assigned a home ring on first contact
-/// (round-robin); a full home ring falls back to stealing a slot on a
-/// sibling before blocking. All rings dispatch into the same TrustedLogic,
-/// which therefore must tolerate concurrent calls when rings > 1.
+/// (round-robin) and block on it when it is full. All rings dispatch into
+/// the same TrustedLogic, which therefore must tolerate concurrent calls
+/// when rings > 1.
 class RingGroup {
  public:
   /// Starts one in-enclave worker thread per ring. The group shares
@@ -126,9 +120,8 @@ class RingGroup {
   /// The calling thread's affine ring (assigned round-robin on first use).
   std::size_t home_ring() const { return home_index(); }
 
-  /// Zero-copy claim with affinity: home ring first, then steal round-robin
-  /// from siblings, then block on the home ring (backpressure — never
-  /// drops). Throws Error once stopped.
+  /// Zero-copy claim on the calling thread's home ring; blocks while it is
+  /// full (backpressure — never drops). Throws Error once stopped.
   SubmitHandle begin_submit(std::uint32_t opcode);
 
   /// Zero-copy claim pinned to one ring (flow steering). Blocks on that
@@ -143,8 +136,8 @@ class RingGroup {
   /// Release an unpublished handle without running a job (error paths).
   void abandon(const SubmitHandle& handle);
 
-  /// Enqueue a job, copying `payload` into the slot, with the same affinity
-  /// policy as begin_submit(). Throws Error if the payload exceeds
+  /// Enqueue a job on the home ring, copying `payload` into the slot, as
+  /// begin_submit() does. Throws Error if the payload exceeds
   /// kMaxHostCallPayload or the group has been stopped.
   Ticket submit(std::uint32_t opcode, ByteView payload);
 
@@ -177,10 +170,6 @@ class RingGroup {
   std::uint64_t group_id_ = 0;
   std::vector<std::unique_ptr<Ring>> rings_;
   mutable std::atomic<std::uint32_t> next_home_{0};
-  std::atomic<std::uint64_t> affinity_submits_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  // Cached per-ring steal counters (label: the ring that donated the slot).
-  std::vector<obs::Counter*> steal_counters_;
 };
 
 }  // namespace vnfsgx::sgx

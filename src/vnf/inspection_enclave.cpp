@@ -3,14 +3,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <shared_mutex>
-#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "pki/tlv.h"
+#include "vnf/flow_table.h"
 
 namespace vnfsgx::vnf {
 
@@ -66,7 +65,7 @@ double elapsed_us(std::chrono::steady_clock::time_point start) {
 // state is guarded: the rule table behind a reader/writer lock (installs
 // are rare, matches constant), the flow table sharded by key hash so
 // same-shard contention is the only serialization on the hot path, and
-// the counters plain relaxed atomics.
+// the counters plain relaxed atomics, added once per slot.
 class InspectionEnclaveLogic final : public sgx::TrustedLogic {
  public:
   Bytes handle_call(std::uint32_t opcode, ByteView input,
@@ -83,14 +82,12 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
       case kOpResetFlows:
         clear_flows();
         return {};
-      case kOpInspectFrame:
-        // Sync path: any frame size, verdict sized to the rule name.
-        return inspect_frame(
-            input, [](std::uint8_t verdict, bool cached, std::string_view rule) {
-              Bytes out(wire::kVerdictHeaderSize + rule.size());
-              wire::encode_verdict(verdict, cached, rule, out);
-              return out;
-            });
+      case kOpInspectFrame: {
+        // Sync path: frames of any size; a slot's verdicts always fit.
+        Bytes out(sgx::kMaxHostCallPayload);
+        out.resize(inspect_slot(input, out));
+        return out;
+      }
     }
     throw Error("inspection enclave: unknown opcode " + std::to_string(opcode));
   }
@@ -104,60 +101,28 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     if (static_cast<InspectionOp>(opcode) != kOpInspectFrame) {
       return std::nullopt;
     }
-    return inspect_frame(
-        input, [out](std::uint8_t verdict, bool cached, std::string_view rule) {
-          return wire::encode_verdict(verdict, cached, rule, out);
-        });
+    return inspect_slot(input, out);
   }
 
  private:
-  // Packed 5-tuple: src_ip | dst_ip | src_port | dst_port | proto.
-  using FlowKey = std::array<std::uint8_t, 13>;
-
-  struct FlowState {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    // Verdict cache: a drop verdict is sticky for the flow's lifetime, so
-    // later packets of a poisoned flow skip the matcher entirely. Clean
-    // verdicts are NOT cached — a signature may start matching mid-flow.
-    bool poisoned = false;
-    std::string poison_rule;
-  };
-
   static constexpr std::size_t kFlowShards = 8;
   struct FlowShard {
     std::mutex mutex;
-    std::map<FlowKey, FlowState> flows;
+    FlowTable table;  // guarded by mutex
   };
 
-  static FlowKey make_flow_key(std::uint32_t src_ip, std::uint32_t dst_ip,
-                               std::uint16_t src_port, std::uint16_t dst_port,
-                               std::uint8_t proto) {
-    FlowKey key{};
-    key[0] = static_cast<std::uint8_t>(src_ip >> 24);
-    key[1] = static_cast<std::uint8_t>(src_ip >> 16);
-    key[2] = static_cast<std::uint8_t>(src_ip >> 8);
-    key[3] = static_cast<std::uint8_t>(src_ip);
-    key[4] = static_cast<std::uint8_t>(dst_ip >> 24);
-    key[5] = static_cast<std::uint8_t>(dst_ip >> 16);
-    key[6] = static_cast<std::uint8_t>(dst_ip >> 8);
-    key[7] = static_cast<std::uint8_t>(dst_ip);
-    key[8] = static_cast<std::uint8_t>(src_port >> 8);
-    key[9] = static_cast<std::uint8_t>(src_port);
-    key[10] = static_cast<std::uint8_t>(dst_port >> 8);
-    key[11] = static_cast<std::uint8_t>(dst_port);
-    key[12] = proto;
-    return key;
-  }
+  /// Counter deltas of one slot, added to the shared atomics once.
+  struct Tally {
+    std::uint64_t dropped = 0;
+    std::uint64_t alerted = 0;
+    std::uint64_t cache_hits = 0;
+  };
 
-  FlowShard& shard_for(const FlowKey& key) {
-    // FNV-1a over the packed tuple; cheap and spreads sequential flows.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint8_t b : key) {
-      h = (h ^ b) * 1099511628211ULL;
-    }
-    return shards_[h % kFlowShards];
-  }
+  /// One validated descriptor; the payload views the copied-in slot.
+  struct Frame {
+    wire::FrameDescriptor header;
+    ByteView payload;
+  };
 
   Bytes load_rules(ByteView input) {
     install(RuleSet::decode(input));
@@ -184,91 +149,105 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
       throw Error("inspection enclave: refusing to install empty rule set");
     }
     auto matcher = std::make_unique<RuleMatcher>(rules);
-    {
-      std::unique_lock<std::shared_mutex> lk(rules_mutex_);
-      matcher_ = std::move(matcher);
-      rules_ = std::move(rules);
-    }
-    clear_flows();  // verdicts cached under the old rules are stale
+    std::unique_lock<std::shared_mutex> lk(rules_mutex_);
+    matcher_ = std::move(matcher);
+    rules_ = std::move(rules);
+    // Cached verdicts are stale under new rules, and a poisoned flow names
+    // its rule by index: clear the flows before any reader sees the table.
+    clear_flows();
   }
 
   void clear_flows() {
     for (FlowShard& shard : shards_) {
       std::lock_guard<std::mutex> lk(shard.mutex);
-      shard.flows.clear();
+      shard.table.clear();
     }
   }
 
-  /// The shared verdict core. Flow accounting and the sticky-drop cache
-  /// run under the flow shard's lock; the matcher scan runs with only the
-  /// rules reader lock held so concurrent workers scan in parallel. `emit`
-  /// is invoked exactly once, while the rule-name view is still pinned by
-  /// the locks, so implementations may serialize the view without copying.
-  template <typename Emit>
-  auto run_verdict(std::uint32_t src_ip, std::uint32_t dst_ip,
-                   std::uint16_t src_port, std::uint16_t dst_port,
-                   std::uint8_t proto, ByteView payload, Emit&& emit) {
+  /// The slot handler. Every descriptor is decoded and bounds-checked
+  /// before any frame is judged, so a malformed slot throws with no flow
+  /// touched. Then, under one rules reader lock, each frame's verdict is
+  /// written to `out` in order. At most kMaxFramesPerSlot frames are
+  /// accepted, so the verdicts always fit a ring slot's result region.
+  std::size_t inspect_slot(ByteView input, std::span<std::uint8_t> out) {
+    std::array<Frame, kMaxFramesPerSlot> frames;
+    std::size_t count = 0;
+    do {
+      if (count == kMaxFramesPerSlot) {
+        throw Error("inspection enclave: more than " +
+                    std::to_string(kMaxFramesPerSlot) + " frames in a slot");
+      }
+      Frame& frame = frames[count++];
+      frame.payload = wire::decode_frame(input, &frame.header);
+      input = input.subspan(wire::kFrameHeaderSize + frame.payload.size());
+    } while (!input.empty());
+    if (count * (wire::kVerdictHeaderSize + kMaxRuleNameBytes) > out.size()) {
+      throw Error("inspection enclave: verdicts would not fit the result");
+    }
+
     std::shared_lock<std::shared_mutex> rules_lk(rules_mutex_);
     if (!matcher_) {
       throw Error("inspection enclave: no rules loaded");
     }
-    const FlowKey key =
-        make_flow_key(src_ip, dst_ip, src_port, dst_port, proto);
-    FlowShard& shard = shard_for(key);
-    inspected_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(shard.mutex);
-      FlowState& flow = shard.flows[key];
-      ++flow.packets;
-      flow.bytes += payload.size();
-      if (flow.poisoned) {
-        // Poisoned by an earlier packet: serve the sticky drop from cache.
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return emit(kVerdictDrop, true,
-                    std::string_view(flow.poison_rule));
-      }
+    Tally tally;
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      used += judge(frames[i], out.subspan(used), tally);
     }
-    if (const auto hit = matcher_->match(payload, dst_port, proto)) {
-      const InspectionRule& rule = rules_.rules()[*hit];
-      if (rule.action == RuleAction::kDrop) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lk(shard.mutex);
-          // Re-find: a concurrent reset may have pruned the flow while the
-          // matcher ran; poisoning a fresh entry would resurrect it.
-          const auto it = shard.flows.find(key);
-          if (it != shard.flows.end()) {
-            it->second.poisoned = true;
-            it->second.poison_rule = rule.name;
-          }
-        }
-        return emit(kVerdictDrop, false, std::string_view(rule.name));
-      }
-      alerted_.fetch_add(1, std::memory_order_relaxed);
-      return emit(kVerdictAlert, false, std::string_view(rule.name));
-    }
-    return emit(kVerdictForward, false, std::string_view());
+    inspected_.fetch_add(count, std::memory_order_relaxed);
+    dropped_.fetch_add(tally.dropped, std::memory_order_relaxed);
+    alerted_.fetch_add(tally.alerted, std::memory_order_relaxed);
+    cache_hits_.fetch_add(tally.cache_hits, std::memory_order_relaxed);
+    return used;
   }
 
-  /// FrameDescriptor in, verdict out through `emit` (see run_verdict).
-  /// The ring path emits into fixed buffers: no trusted-side allocation
-  /// for clean frames.
-  template <typename Emit>
-  std::invoke_result_t<Emit, std::uint8_t, bool, std::string_view>
-  inspect_frame(ByteView input, Emit&& emit) {
-    wire::FrameDescriptor header;
-    const ByteView payload = wire::decode_frame(input, &header);
-    return run_verdict(header.src_ip, header.dst_ip, header.src_port,
-                       header.dst_port, header.proto, payload,
-                       std::forward<Emit>(emit));
+  /// One frame's verdict, written to `out`; the caller holds the rules
+  /// reader lock. Flow accounting and the sticky-drop cache run under the
+  /// flow shard's lock; the matcher scan runs without it, so concurrent
+  /// workers scan in parallel.
+  std::size_t judge(const Frame& frame, std::span<std::uint8_t> out,
+                    Tally& tally) {
+    const wire::FrameDescriptor& h = frame.header;
+    const FlowTable::Key key = FlowTable::make_key(
+        h.src_ip, h.dst_ip, h.src_port, h.dst_port, h.proto);
+    const std::uint64_t hash = FlowTable::hash(key);
+    FlowShard& shard = shards_[hash % kFlowShards];
+    {
+      std::lock_guard<std::mutex> lk(shard.mutex);
+      const FlowTable::Flow& flow =
+          shard.table.touch(key, hash, frame.payload.size());
+      if (flow.poison_rule != FlowTable::kNotPoisoned) {
+        // Poisoned by an earlier packet: serve the sticky drop from cache.
+        ++tally.cache_hits;
+        ++tally.dropped;
+        return wire::encode_verdict(kVerdictDrop, true,
+                                    rules_.rules()[flow.poison_rule].name, out);
+      }
+    }
+    const auto hit = matcher_->match(frame.payload, h.dst_port, h.proto);
+    if (!hit) return wire::encode_verdict(kVerdictForward, false, {}, out);
+    const InspectionRule& rule = rules_.rules()[*hit];
+    if (rule.action == RuleAction::kDrop) {
+      ++tally.dropped;
+      {
+        std::lock_guard<std::mutex> lk(shard.mutex);
+        // Re-find: a concurrent reset may have pruned the flow while the
+        // matcher ran; poisoning a fresh entry would resurrect it.
+        if (FlowTable::Flow* flow = shard.table.find(key, hash)) {
+          flow->poison_rule = static_cast<std::uint32_t>(*hit);
+        }
+      }
+      return wire::encode_verdict(kVerdictDrop, false, rule.name, out);
+    }
+    ++tally.alerted;
+    return wire::encode_verdict(kVerdictAlert, false, rule.name, out);
   }
 
   Bytes flow_stats() {
     std::uint64_t flow_count = 0;
     for (FlowShard& shard : shards_) {
       std::lock_guard<std::mutex> lk(shard.mutex);
-      flow_count += shard.flows.size();
+      flow_count += shard.table.size();
     }
     pki::TlvWriter w;
     w.add_u64(kTagFlows, flow_count);
@@ -311,26 +290,41 @@ sgx::Measurement inspection_enclave_measurement() {
 
 namespace {
 
-dataplane::InspectionOutcome decode_frame_verdict(ByteView response) {
-  wire::FrameVerdict header;
-  const ByteView rule = wire::decode_verdict(response, &header);
-  dataplane::InspectionOutcome outcome;
-  switch (header.verdict) {
-    case kVerdictForward:
-      outcome.verdict = dataplane::InspectVerdict::kForward;
-      break;
-    case kVerdictDrop:
-      outcome.verdict = dataplane::InspectVerdict::kDrop;
-      break;
-    case kVerdictAlert:
-      outcome.verdict = dataplane::InspectVerdict::kAlert;
-      break;
-    default:
-      throw ParseError("inspection: bad verdict byte");
-  }
-  if (!rule.empty()) {
+/// Decodes the verdicts of one slot, in order, into `outcomes` at
+/// `positions`. The reply must hold exactly positions.size() verdicts:
+/// a short or over-long reply throws ParseError.
+void decode_slot_verdicts(ByteView reply,
+                          std::span<const std::uint32_t> positions,
+                          std::span<dataplane::InspectionOutcome> outcomes) {
+  for (const std::uint32_t position : positions) {
+    wire::FrameVerdict header;
+    const ByteView rule = wire::decode_verdict(reply, &header);
+    reply = reply.subspan(wire::kVerdictHeaderSize + rule.size());
+    dataplane::InspectionOutcome& outcome = outcomes[position];
+    switch (header.verdict) {
+      case kVerdictForward:
+        outcome.verdict = dataplane::InspectVerdict::kForward;
+        break;
+      case kVerdictDrop:
+        outcome.verdict = dataplane::InspectVerdict::kDrop;
+        break;
+      case kVerdictAlert:
+        outcome.verdict = dataplane::InspectVerdict::kAlert;
+        break;
+      default:
+        throw ParseError("inspection: bad verdict byte");
+    }
     outcome.rule.assign(rule.begin(), rule.end());
   }
+  if (!reply.empty()) {
+    throw ParseError("inspection: bytes after the last verdict");
+  }
+}
+
+dataplane::InspectionOutcome decode_one_verdict(ByteView reply) {
+  dataplane::InspectionOutcome outcome;
+  const std::uint32_t position = 0;
+  decode_slot_verdicts(reply, std::span(&position, 1), std::span(&outcome, 1));
   return outcome;
 }
 
@@ -403,46 +397,18 @@ std::size_t InspectionClient::ring_for(const dataplane::Packet& packet) const {
   return static_cast<std::size_t>(h % rings);
 }
 
-sgx::RingGroup::Ticket InspectionClient::submit_frame(
-    const dataplane::Packet& packet, std::uint16_t in_port, std::size_t ring) {
-  // Serialize once, straight into the claimed ring slot: no intermediate
-  // buffer, no heap allocation anywhere on the submit path.
-  if (packet.payload.size() > kMaxInlineFramePayload) {
-    throw Error("inspection: frame payload of " +
-                std::to_string(packet.payload.size()) +
-                " bytes exceeds inline descriptor capacity of " +
-                std::to_string(kMaxInlineFramePayload));
-  }
-  const sgx::RingGroup::SubmitHandle handle =
-      group_->begin_submit_on(ring, kOpInspectFrame);
-  std::size_t frame_len = 0;
-  try {
-    frame_len = wire::encode_frame(make_descriptor(packet, in_port),
-                                   packet.payload, handle.payload);
-  } catch (...) {
-    group_->abandon(handle);
-    throw;
-  }
-  group_->publish(handle, frame_len);
-  return handle.ticket;
-}
-
 dataplane::InspectionOutcome InspectionClient::inspect(
     const dataplane::Packet& packet, std::uint16_t in_port) {
   const auto start = std::chrono::steady_clock::now();
   dataplane::InspectionOutcome outcome;
   if (group_) {
-    // The verdict comes back through a stack buffer: nothing allocated.
-    const sgx::RingGroup::Ticket ticket =
-        submit_frame(packet, in_port, ring_for(packet));
-    std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
-    const std::size_t n = group_->wait_into(ticket, result);
-    outcome = decode_frame_verdict(ByteView(result.data(), n));
+    const dataplane::Packet* const one[] = {&packet};
+    outcome = std::move(inspect_burst_switchless(one, in_port).front());
   } else {
     Bytes request(wire::kFrameHeaderSize + packet.payload.size());
     wire::encode_frame(make_descriptor(packet, in_port), packet.payload,
                        request);
-    outcome = decode_frame_verdict(enclave_->call(kOpInspectFrame, request));
+    outcome = decode_one_verdict(enclave_->call(kOpInspectFrame, request));
   }
   frame_latency_->observe(elapsed_us(start));
   return outcome;
@@ -452,56 +418,111 @@ std::vector<dataplane::InspectionOutcome>
 InspectionClient::inspect_burst_switchless(
     std::span<const dataplane::Packet* const> packets,
     std::uint16_t in_port) {
-  // Pipelined windows, one per ring: each frame goes to its flow's ring, so
-  // resident workers drain different flows in parallel, with at most half a
-  // ring's capacity outstanding per ring — never more than a ring can hold,
-  // which would deadlock against our own uncollected results. Tickets are
-  // collected FIFO, so `outcomes` stays positional and each ring's
-  // occupied slots stay one contiguous arc its worker drains in order.
-  // Error path: every submitted ticket is waited on even after a failure —
+  // Each frame goes to its flow's ring, where it is appended to that ring's
+  // open slot; a slot is published when the next frame would overflow it
+  // (bytes or kMaxFramesPerSlot), and the rest at the end. One flow's
+  // frames therefore sit in burst order within a ring's slots, and the
+  // ring's worker runs those slots in publication order. Resident workers
+  // drain different rings in parallel, with at most half a ring's capacity
+  // of slots outstanding per ring — never more than a ring can hold, which
+  // would deadlock against our own uncollected results. Slots are
+  // collected FIFO and their verdicts land at their frames' positions.
+  // Error path: every published slot is waited on even after a failure —
   // an uncollected ticket would pin its slot forever and leak ring
-  // capacity into permanent backpressure. Once anything fails (a rejected
-  // job, or stop() racing the window) the burst stops decoding into
-  // `outcomes`, drains the remaining in-flight tickets, and rethrows: a
-  // stopped ring can therefore never surface a stale or misaligned verdict
-  // for a later-submitted frame.
-  std::vector<dataplane::InspectionOutcome> outcomes;
-  outcomes.reserve(packets.size());
+  // capacity into permanent backpressure — and every open slot is
+  // abandoned. Once anything fails (an oversized frame, a rejected job, or
+  // stop() racing the window) the burst stops submitting and decoding,
+  // drains the in-flight slots, and rethrows: a stopped ring can therefore
+  // never surface a stale or misaligned verdict.
+  struct OpenSlot {
+    bool claimed = false;
+    sgx::RingGroup::SubmitHandle handle;
+    std::size_t used = 0;
+    std::size_t frames = 0;
+    std::array<std::uint32_t, kMaxFramesPerSlot> positions{};
+  };
+  struct Published {
+    sgx::RingGroup::Ticket ticket;
+    std::size_t first = 0;  // index into `order`
+    std::size_t frames = 0;
+  };
+  std::vector<dataplane::InspectionOutcome> outcomes(packets.size());
   const std::size_t window = std::max<std::size_t>(group_->capacity() / 2, 1);
-  std::vector<sgx::RingGroup::Ticket> tickets;
-  tickets.reserve(packets.size());
+  std::vector<OpenSlot> open(group_->rings());
   std::vector<std::size_t> inflight(group_->rings(), 0);
+  std::vector<Published> published;
+  published.reserve(packets.size());
+  std::vector<std::uint32_t> order;  // frame positions, slot by slot
+  order.reserve(packets.size());
   std::size_t collected = 0;
   std::exception_ptr first_error;
   std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
   auto collect_one = [&] {
-    const sgx::RingGroup::Ticket t = tickets[collected++];
-    --inflight[t.ring];
+    const Published& slot = published[collected++];
+    --inflight[slot.ticket.ring];
     try {
-      const std::size_t n = group_->wait_into(t, result);
+      const std::size_t n = group_->wait_into(slot.ticket, result);
       if (!first_error) {
-        outcomes.push_back(decode_frame_verdict(ByteView(result.data(), n)));
+        decode_slot_verdicts(
+            ByteView(result.data(), n),
+            std::span(order).subspan(slot.first, slot.frames), outcomes);
       }
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
   };
-  for (const dataplane::Packet* packet : packets) {
-    const std::size_t target = ring_for(*packet);
-    while (inflight[target] >= window && collected < tickets.size() &&
-           !first_error) {
-      collect_one();
+  auto publish = [&](OpenSlot& slot) {
+    slot.claimed = false;  // publish() consumes the handle even if it throws
+    group_->publish(slot.handle, slot.used);
+    published.push_back({slot.handle.ticket, order.size(), slot.frames});
+    order.insert(order.end(), slot.positions.begin(),
+                 slot.positions.begin() + static_cast<long>(slot.frames));
+    ++inflight[slot.handle.ticket.ring];
+  };
+  try {
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      const dataplane::Packet& packet = *packets[i];
+      if (packet.payload.size() > kMaxInlineFramePayload) {
+        throw Error("inspection: frame payload of " +
+                    std::to_string(packet.payload.size()) +
+                    " bytes exceeds inline descriptor capacity of " +
+                    std::to_string(kMaxInlineFramePayload));
+      }
+      const std::size_t target = ring_for(packet);
+      OpenSlot& slot = open[target];
+      const std::size_t need = wire::kFrameHeaderSize + packet.payload.size();
+      if (slot.claimed && (slot.frames == kMaxFramesPerSlot ||
+                           need > sgx::kMaxHostCallPayload - slot.used)) {
+        publish(slot);
+      }
+      if (!slot.claimed) {
+        while (inflight[target] >= window && collected < published.size() &&
+               !first_error) {
+          collect_one();
+        }
+        if (first_error) break;
+        slot.handle = group_->begin_submit_on(target, kOpInspectFrame);
+        slot.claimed = true;
+        slot.used = 0;
+        slot.frames = 0;
+      }
+      slot.used += wire::encode_frame(make_descriptor(packet, in_port),
+                                      packet.payload,
+                                      slot.handle.payload.subspan(slot.used));
+      slot.positions[slot.frames++] = static_cast<std::uint32_t>(i);
     }
-    if (first_error) break;
-    try {
-      tickets.push_back(submit_frame(*packet, in_port, target));
-      ++inflight[target];
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-      break;
+    if (!first_error) {
+      for (OpenSlot& slot : open) {
+        if (slot.claimed) publish(slot);
+      }
     }
+  } catch (...) {
+    if (!first_error) first_error = std::current_exception();
   }
-  while (collected < tickets.size()) collect_one();
+  for (OpenSlot& slot : open) {
+    if (slot.claimed) group_->abandon(slot.handle);
+  }
+  while (collected < published.size()) collect_one();
   if (first_error) std::rethrow_exception(first_error);
   return outcomes;
 }

@@ -8,16 +8,20 @@
 // kOpRestoreRules wrap the table with the platform seal keys, so rules are
 // confidentiality-protected exactly like VNF credentials.
 //
-// Frames cross the boundary in one wire format, kOpInspectFrame: a
-// FrameDescriptor (fixed POD header + inline frame bytes) answered by a
-// FrameVerdict plus the matched rule name (inspection_wire.h). Two
-// disciplines carry it:
+// Frames cross the boundary in one wire format, kOpInspectFrame: one or
+// more FrameDescriptors (fixed POD header + inline frame bytes) back to
+// back, answered by one FrameVerdict plus matched rule name per descriptor,
+// in order (inspection_wire.h). Two disciplines carry it:
 //   * sync — one Enclave::call per frame, any frame size; the verdict
 //     reference the tests compare against.
-//   * switchless — serialized once, directly into a RingGroup slot, with
-//     the verdict returned in place. Each frame is steered to a ring by a
-//     hash of its 5-tuple, so one flow's frames reach one resident worker
-//     in burst order and the sticky per-flow drop never races.
+//   * switchless — serialized once, directly into RingGroup slots, with
+//     the verdicts returned in place. Each frame is steered to a ring by a
+//     hash of its 5-tuple, and a burst's frames for one ring are packed in
+//     burst order into as few slots as they fit, so one flow's frames
+//     reach one resident worker in burst order and the sticky per-flow
+//     drop never races.
+// The trusted handler validates every descriptor of a slot before it
+// judges any frame, so a malformed slot fails closed with no flow touched.
 // The trusted logic is thread-safe: a RingGroup runs one resident worker
 // per ring, all dispatching into the same rule table and flow shards.
 #pragma once
@@ -51,8 +55,10 @@ enum InspectionOp : std::uint32_t {
   kOpFlowStats = 5,
   /// () -> (). Clears the flow table and verdict cache; rules stay.
   kOpResetFlows = 6,
-  /// FrameDescriptor + inline payload -> FrameVerdict + rule name.
-  /// Throws if no rules are loaded (the dataplane then fails closed).
+  /// 1..kMaxFramesPerSlot x (FrameDescriptor + inline payload), back to
+  /// back -> one FrameVerdict + rule name per descriptor, in order. Throws,
+  /// having judged no frame, on a malformed descriptor, trailing bytes, too
+  /// many frames, or no rules loaded (the dataplane then fails closed).
   kOpInspectFrame = 7,
 };
 
@@ -62,6 +68,14 @@ enum InspectionOp : std::uint32_t {
 /// no such limit.
 inline constexpr std::size_t kMaxInlineFramePayload =
     sgx::kMaxHostCallPayload - wire::kFrameHeaderSize;
+
+/// Most frames one kOpInspectFrame call carries. Bounded so that a slot of
+/// verdicts, each naming a longest-name rule, always fits a ring slot's
+/// result region: a slot of verdicts is never truncated.
+inline constexpr std::size_t kMaxFramesPerSlot = 32;
+static_assert(kMaxFramesPerSlot * (wire::kVerdictHeaderSize +
+                                   kMaxRuleNameBytes) <=
+              sgx::kMaxHostCallPayload);
 
 /// In-enclave flow-table statistics (kOpFlowStats).
 struct InspectionStats {
@@ -111,9 +125,10 @@ class InspectionClient {
                                        std::uint16_t in_port);
 
   /// Inspect a burst. kSync pays one crossing per frame (and records each
-  /// frame's latency); kSwitchless steers each frame to its flow's ring
-  /// with a bounded in-flight window per ring. Either way the burst adds
-  /// one sample to the per-burst histogram. Outcomes are positional.
+  /// frame's latency); kSwitchless steers each frame to its flow's ring and
+  /// packs each ring's frames into as few slots as they fit, with a bounded
+  /// in-flight window of slots per ring. Either way the burst adds one
+  /// sample to the per-burst histogram. Outcomes are positional.
   std::vector<dataplane::InspectionOutcome> inspect_burst(
       std::span<const dataplane::Packet> packets, std::uint16_t in_port);
 
@@ -137,8 +152,6 @@ class InspectionClient {
  private:
   Bytes dispatch(std::uint32_t opcode, ByteView input);
   std::size_t ring_for(const dataplane::Packet& packet) const;
-  sgx::RingGroup::Ticket submit_frame(const dataplane::Packet& packet,
-                                      std::uint16_t in_port, std::size_t ring);
   std::vector<dataplane::InspectionOutcome> inspect_burst_switchless(
       std::span<const dataplane::Packet* const> packets,
       std::uint16_t in_port);

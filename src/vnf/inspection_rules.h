@@ -35,11 +35,17 @@ struct InspectionRule {
   std::uint8_t proto = 0;  // IpProto numeric value (6 tcp, 17 udp, ...)
 };
 
+/// Longest rule name a RuleSet accepts. Verdicts carry the matched rule's
+/// name, so this bound is what lets a full slot of verdicts fit the ring
+/// (see kMaxFramesPerSlot in inspection_enclave.h).
+inline constexpr std::size_t kMaxRuleNameBytes = 60;
+
 /// Ordered rule table. Drop rules outrank alert rules when several patterns
 /// hit the same packet; ties fall to insertion order.
 class RuleSet {
  public:
-  /// Add or replace (by name). Throws Error on empty name or pattern.
+  /// Add or replace (by name). Throws Error on an empty or over-long
+  /// (> kMaxRuleNameBytes) name, an empty pattern or a bad action.
   void add(InspectionRule rule);
   const std::vector<InspectionRule>& rules() const { return rules_; }
   std::size_t size() const { return rules_.size(); }

@@ -1,12 +1,13 @@
 // Fixed-layout wire structs for the zero-copy inspection hot path.
 //
-// The switchless ring hands frames to the enclave as a FrameDescriptor
-// written directly into the ring slot's payload region: a fixed POD header
-// (5-tuple, ingress port, flags, inline payload length) followed by the
-// frame bytes. No TLV framing, no intermediate serialization buffer — the
+// The switchless ring hands frames to the enclave as FrameDescriptors
+// written directly into the ring slot's payload region: each a fixed POD
+// header (5-tuple, ingress port, flags, inline payload length) followed by
+// the frame bytes, packed back to back with no gap and nothing after the
+// last one. No TLV framing, no intermediate serialization buffer — the
 // untrusted side serializes exactly once, into shared memory, and the
-// verdict comes back the same way as a FrameVerdict header plus the
-// matched rule name.
+// verdicts come back the same way: one FrameVerdict header plus matched
+// rule name per descriptor, in descriptor order.
 //
 // Layout notes:
 //   * Both structs are trivially copyable with no padding; offsets are

@@ -1,6 +1,6 @@
 // Switchless ECALL runtime tests: the hostcall ring behind a one-ring
 // RingGroup (submit/wait, spin-then-park, backpressure, teardown drain),
-// multi-ring groups (affinity, stealing, aggregation), and the failure
+// multi-ring groups (affinity, backpressure, aggregation), and the failure
 // modes at the trusted/untrusted boundary.
 #include <gtest/gtest.h>
 
@@ -557,7 +557,7 @@ TEST_F(HostCallFixture, StopWaitsForUnpublishedHandles) {
 }
 
 // ---------------------------------------------------------------------------
-// RingGroup: affinity, stealing, aggregation, teardown
+// RingGroup: affinity, backpressure, aggregation, teardown
 // ---------------------------------------------------------------------------
 
 TEST_F(HostCallFixture, GroupAffinityKeepsAThreadOnItsHomeRing) {
@@ -577,45 +577,69 @@ TEST_F(HostCallFixture, GroupAffinityKeepsAThreadOnItsHomeRing) {
   }
 
   const RingGroupStats stats = group.stats();
-  EXPECT_EQ(stats.affinity_submits, 8u);
-  EXPECT_EQ(stats.steals, 0u);
   EXPECT_EQ(stats.per_ring[home].jobs, 8u);
   EXPECT_EQ(stats.per_ring[1 - home].jobs, 0u);
   EXPECT_EQ(stats.total.jobs, 8u);
 }
 
-TEST_F(HostCallFixture, GroupFullHomeRingStealsFromSibling) {
+TEST_F(HostCallFixture, GroupFullHomeRingBlocksOnHome) {
   auto enclave = load();
   RingGroupOptions options;
   options.rings = 2;
   options.ring_capacity = 2;
-  options.name = "steal";
+  options.name = "homefull";
   RingGroup group(enclave, options);
-  const std::size_t home = group.home_ring();
-  const std::uint32_t sibling = static_cast<std::uint32_t>(1 - home);
 
-  // Fill the home ring: one job parked on the gate, one queued behind it.
-  // Slots stay occupied until collected, so home is deterministically full.
+  // A submitter thread learns its home ring, then waits while that ring is
+  // filled: one job parked on the gate, one queued behind it. Slots stay
+  // occupied until collected, so home is deterministically full.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t home = 2;
+  bool filled = false;
+  std::atomic<bool> submitted{false};
+  RingGroup::Ticket blocked_ticket;
+  std::thread submitter([&] {
+    {
+      std::unique_lock<std::mutex> lk(mutex);
+      home = group.home_ring();
+      cv.notify_all();
+      cv.wait(lk, [&] { return filled; });
+    }
+    blocked_ticket = group.submit(kEcho, to_bytes("blocked"));
+    submitted.store(true);
+  });
+  {
+    std::unique_lock<std::mutex> lk(mutex);
+    cv.wait(lk, [&] { return home < 2; });
+  }
   auto stuck = group.begin_submit_on(home, kGateWait);
   group.publish(stuck, 0);
-  const auto queued = group.submit(kEcho, to_bytes("queued"));
-  ASSERT_EQ(queued.ring, home);
+  auto queued = group.begin_submit_on(home, kEcho);
+  std::memcpy(queued.payload.data(), "queued", 6);
+  group.publish(queued, 6);
+  {
+    std::lock_guard<std::mutex> lk(mutex);
+    filled = true;
+    cv.notify_all();
+  }
 
-  // A full home must divert to the sibling ring instead of blocking.
-  const auto stolen = group.submit(kEcho, to_bytes("stolen"));
-  EXPECT_EQ(stolen.ring, sibling);
-  EXPECT_EQ(to_string(group.wait(stolen)), "stolen");  // sibling worker ran it
-
-  const RingGroupStats mid = group.stats();
-  EXPECT_EQ(mid.steals, 1u);
-  EXPECT_EQ(mid.affinity_submits, 1u);  // only "queued" landed home unassisted
+  // The sibling ring has free slots, but a full home ring blocks the
+  // submitter (backpressure) instead of diverting its job.
+  while (group.stats().per_ring[home].backpressure_waits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(submitted.load());
+  EXPECT_EQ(group.stats().per_ring[1 - home].submits, 0u);
 
   gate_->release();
-  std::array<std::uint8_t, kMaxHostCallPayload> out{};
-  const std::size_t n =
-      group.wait_into(stuck.ticket, out);
-  EXPECT_EQ(std::string(out.begin(), out.begin() + n), "released");
-  EXPECT_EQ(to_string(group.wait(queued)), "queued");
+  EXPECT_EQ(to_string(group.wait(stuck.ticket)), "released");
+  EXPECT_EQ(to_string(group.wait(queued.ticket)), "queued");
+  submitter.join();
+  EXPECT_TRUE(submitted.load());
+  EXPECT_EQ(blocked_ticket.ring, home);
+  EXPECT_EQ(to_string(group.wait(blocked_ticket)), "blocked");
+  EXPECT_EQ(group.stats().per_ring[1 - home].submits, 0u);
   EXPECT_EQ(group.occupancy(), 0u);
 }
 
@@ -657,9 +681,6 @@ TEST_F(HostCallFixture, GroupStatsMatchSerialOracle) {
   EXPECT_EQ(stats.total.jobs, expected);
   EXPECT_EQ(stats.total.jobs, sum_jobs);
   EXPECT_EQ(stats.total.submits, sum_submits);
-  // Pinned submits bypass the affinity policy entirely.
-  EXPECT_EQ(stats.affinity_submits, 0u);
-  EXPECT_EQ(stats.steals, 0u);
 
   // The enclave-global view agrees: N ring workers, one set of counters.
   const EcallStats after = enclave->ecall_stats();
@@ -711,7 +732,7 @@ TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
   auto enclave = load();
   RingGroupOptions options;
   options.rings = 3;
-  options.ring_capacity = 8;  // small rings: force steals and backpressure
+  options.ring_capacity = 8;  // small rings: force backpressure
   options.spin_polls = 64;    // park/wake churn too
   options.name = "stress";
   RingGroup group(enclave, options);
@@ -730,7 +751,7 @@ TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
         std::string got;
         if (i % 3 == 0) {
           // Pinned zero-copy submit to a rotating ring: deliberate affinity
-          // churn so every thread hits every ring and every steal path.
+          // churn so every thread hits every ring.
           auto handle = group.begin_submit_on(
               static_cast<std::size_t>(t + i) % 3, kEcho);
           std::memcpy(handle.payload.data(), msg.data(), msg.size());

@@ -1,6 +1,8 @@
 // In-enclave inspection NF tests: rule table encoding, the compiled
-// Aho-Corasick matcher (differential against a naive search), enclave verdicts + flow/verdict-cache state, sealed rule
-// provisioning, and the dataplane punt path end to end.
+// Aho-Corasick matcher (differential against a naive search), the flat
+// flow table, enclave verdicts + flow/verdict-cache state, packed ring
+// slots (differential against sync mode), sealed rule provisioning, and
+// the dataplane punt path end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +15,9 @@
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
 #include "obs/metrics.h"
+#include "pki/tlv.h"
 #include "sgx/platform.h"
+#include "vnf/flow_table.h"
 #include "vnf/inspection_enclave.h"
 
 namespace vnfsgx::vnf {
@@ -100,6 +104,28 @@ TEST(InspectionRulesTest, ValidatesOnAdd) {
   rules.add(make_rule("a", "two"));  // replaces by name
   ASSERT_EQ(rules.size(), 1u);
   EXPECT_EQ(rules.rules()[0].pattern, to_bytes("two"));
+}
+
+TEST(InspectionRulesTest, RuleNamesAreBounded) {
+  RuleSet rules;
+  rules.add(make_rule(std::string(kMaxRuleNameBytes, 'n'), "x"));
+  EXPECT_THROW(rules.add(make_rule(std::string(kMaxRuleNameBytes + 1, 'n'),
+                                   "x")),
+               Error);
+  ASSERT_EQ(rules.size(), 1u);
+
+  // A provisioned blob is held to the same bound when it is decoded.
+  pki::TlvWriter rule;
+  rule.add_string(0x02, std::string(kMaxRuleNameBytes + 1, 'n'));  // name
+  rule.add_bytes(0x03, to_bytes("x"));                             // pattern
+  rule.add_u8(0x04, static_cast<std::uint8_t>(RuleAction::kDrop));
+  rule.add_u32(0x05, 0);  // dst_port
+  rule.add_u8(0x06, 0);   // proto
+  pki::TlvWriter blob;
+  blob.add_bytes(0x01, rule.bytes());
+  EXPECT_THROW(RuleSet::decode(blob.bytes()), Error);
+  EXPECT_EQ(RuleSet::decode(rules.encode()).rules()[0].name.size(),
+            kMaxRuleNameBytes);
 }
 
 TEST(InspectionRulesTest, MatcherFindsPatternsAnywhere) {
@@ -381,6 +407,70 @@ TEST(InspectionRulesTest, OutputListsCountTowardTheCap) {
     rules.add(make_rule(numbered("a", n), std::string(n, 'a')));
   }
   EXPECT_THROW(RuleMatcher{rules}, Error);
+}
+
+// ---------------------------------------------------------------------------
+// Flat flow table (pure, no enclave)
+// ---------------------------------------------------------------------------
+
+FlowTable::Key nth_key(std::uint32_t n) {
+  return FlowTable::make_key(0x0a000000u + n, 0x0a640001u,
+                             static_cast<std::uint16_t>(n),
+                             static_cast<std::uint16_t>(n >> 16), 6);
+}
+
+TEST(FlowTableTest, HoldsManyFlowsAcrossRehashes) {
+  constexpr std::uint32_t kFlows = 100'000;
+  FlowTable table;
+  for (std::uint32_t n = 0; n < kFlows; ++n) {
+    const FlowTable::Key key = nth_key(n);
+    table.touch(key, FlowTable::hash(key), n % 7);
+    // Never past half load.
+    ASSERT_LE(2 * table.size(), table.capacity()) << n;
+  }
+  ASSERT_EQ(table.size(), kFlows);
+  // Poison every tenth flow, then touch every flow again: every counter
+  // and poison mark survived each rehash.
+  for (std::uint32_t n = 0; n < kFlows; n += 10) {
+    const FlowTable::Key key = nth_key(n);
+    FlowTable::Flow* flow = table.find(key, FlowTable::hash(key));
+    ASSERT_NE(flow, nullptr) << n;
+    flow->poison_rule = n;
+  }
+  for (std::uint32_t n = 0; n < kFlows; ++n) {
+    const FlowTable::Key key = nth_key(n);
+    const FlowTable::Flow& flow = table.touch(key, FlowTable::hash(key), 1);
+    ASSERT_EQ(flow.key, key) << n;
+    ASSERT_EQ(flow.packets, 2u) << n;
+    ASSERT_EQ(flow.bytes, n % 7 + 1u) << n;
+    ASSERT_EQ(flow.poison_rule, n % 10 == 0 ? n : FlowTable::kNotPoisoned)
+        << n;
+  }
+  EXPECT_EQ(table.size(), kFlows);
+  const FlowTable::Key absent = nth_key(kFlows);
+  EXPECT_EQ(table.find(absent, FlowTable::hash(absent)), nullptr);
+
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_LT(table.capacity(), 1024u);  // the memory went back
+  const FlowTable::Key first = nth_key(0);
+  EXPECT_EQ(table.find(first, FlowTable::hash(first)), nullptr);
+}
+
+TEST(FlowTableTest, KeysDifferInEveryTupleField) {
+  // Tuples that differ in one field only are distinct flows.
+  FlowTable table;
+  const std::array<FlowTable::Key, 6> keys = {
+      FlowTable::make_key(1, 2, 3, 4, 6), FlowTable::make_key(9, 2, 3, 4, 6),
+      FlowTable::make_key(1, 9, 3, 4, 6), FlowTable::make_key(1, 2, 9, 4, 6),
+      FlowTable::make_key(1, 2, 3, 9, 6), FlowTable::make_key(1, 2, 3, 4, 17)};
+  for (const auto& key : keys) table.touch(key, FlowTable::hash(key), 10);
+  EXPECT_EQ(table.size(), keys.size());
+  for (const auto& key : keys) {
+    const FlowTable::Flow* flow = table.find(key, FlowTable::hash(key));
+    ASSERT_NE(flow, nullptr);
+    EXPECT_EQ(flow->packets, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -790,6 +880,288 @@ TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
   const std::string max(kMaxInlineFramePayload, 'x');
   EXPECT_EQ(client.inspect(make_packet(max, 80, 0x0a00aa03), 1).verdict,
             dp::InspectVerdict::kForward);
+}
+
+// ---------------------------------------------------------------------------
+// Packed slots: several FrameDescriptors per ring slot
+// ---------------------------------------------------------------------------
+
+/// One kOpInspectFrame request holding `payloads.size()` descriptors of the
+/// same flow, back to back.
+Bytes packed_slot(const std::vector<std::string>& payloads) {
+  Bytes slot;
+  for (const std::string& payload : payloads) {
+    wire::FrameDescriptor header;
+    header.src_ip = 0x0a000001;
+    header.dst_ip = 0x0a000064;
+    header.src_port = 40000;
+    header.dst_port = 80;
+    header.proto = 6;
+    const std::size_t at = slot.size();
+    slot.resize(at + wire::kFrameHeaderSize + payload.size());
+    wire::encode_frame(header, to_bytes(payload),
+                       std::span<std::uint8_t>(slot).subspan(at));
+  }
+  return slot;
+}
+
+std::uint64_t switchless_jobs(const sgx::Enclave& enclave) {
+  return enclave.ecall_stats().switchless_jobs;
+}
+
+TEST_F(InspectionFixture, FullSlotOfLongestNameVerdictsFits) {
+  // Every frame of a slot at the frame cap matches a rule with the longest
+  // name allowed: kMaxFramesPerSlot verdicts of 4 + kMaxRuleNameBytes
+  // bytes must fit the slot's result region whole.
+  const std::string long_name(kMaxRuleNameBytes, 'L');
+  RuleSet rules;
+  rules.add(make_rule(long_name, "ZZ", RuleAction::kAlert));
+  const std::size_t payload_bytes =
+      sgx::kMaxHostCallPayload / kMaxFramesPerSlot - wire::kFrameHeaderSize;
+  std::vector<dp::Packet> burst;
+  for (std::size_t i = 0; i < kMaxFramesPerSlot; ++i) {
+    burst.push_back(make_packet("ZZ" + std::string(payload_bytes - 2, 'a'),
+                                80, 0x0a000800 + static_cast<int>(i)));
+  }
+
+  auto enclave = load();
+  InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
+  client.load_rules(rules);
+  const std::uint64_t jobs_before = switchless_jobs(*enclave);
+  const auto outcomes = client.inspect_burst(burst, 1);
+  EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 1u);  // one full slot
+  ASSERT_EQ(outcomes.size(), kMaxFramesPerSlot);
+  for (const auto& outcome : outcomes) {
+    EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kAlert);
+    EXPECT_EQ(outcome.rule, long_name);
+  }
+
+  // Frames small enough that 33 fit a slot's bytes still take two slots:
+  // the client stops at kMaxFramesPerSlot.
+  std::vector<dp::Packet> tiny(kMaxFramesPerSlot + 1,
+                               make_packet("ZZ", 80, 0x0a0008ff));
+  const std::uint64_t jobs_mid = switchless_jobs(*enclave);
+  const auto tiny_outcomes = client.inspect_burst(tiny, 1);
+  EXPECT_EQ(switchless_jobs(*enclave) - jobs_mid, 2u);
+  ASSERT_EQ(tiny_outcomes.size(), tiny.size());
+  for (const auto& outcome : tiny_outcomes) {
+    EXPECT_EQ(outcome.rule, long_name);
+  }
+
+  // The enclave itself refuses a slot past the cap, before judging any
+  // frame, and answers a slot at the cap in full.
+  const std::vector<std::string> frames(kMaxFramesPerSlot, "ZZ match");
+  std::vector<std::string> too_many = frames;
+  too_many.push_back("ZZ match");
+  const Bytes stats_before = enclave->call(kOpFlowStats, {});
+  EXPECT_THROW(enclave->call(kOpInspectFrame, packed_slot(too_many)), Error);
+  EXPECT_EQ(enclave->call(kOpFlowStats, {}), stats_before);
+  const Bytes reply = enclave->call(kOpInspectFrame, packed_slot(frames));
+  EXPECT_EQ(reply.size(),
+            kMaxFramesPerSlot * (wire::kVerdictHeaderSize + kMaxRuleNameBytes));
+}
+
+TEST_F(InspectionFixture, TrailingBytesAfterTheLastDescriptorAreRejected) {
+  auto enclave = load();
+  enclave->call(kOpLoadRules, demo_rules().encode());
+  const Bytes stats_before = enclave->call(kOpFlowStats, {});
+  for (const std::size_t extra : {1u, 7u, 19u}) {
+    Bytes slot = packed_slot({"clean", "run /bin/sh"});
+    slot.resize(slot.size() + extra, 0);
+    EXPECT_THROW(enclave->call(kOpInspectFrame, slot), Error) << extra;
+  }
+  EXPECT_THROW(enclave->call(kOpInspectFrame, {}), Error);
+  // Nothing was judged: no frame counted, no flow poisoned.
+  EXPECT_EQ(enclave->call(kOpFlowStats, {}), stats_before);
+}
+
+TEST_F(InspectionFixture, PackedSlotsMatchSyncOnImixBursts) {
+  // Seeded IMIX bursts (7x64 : 4x576 : 1x1500 bytes) over 48 flows, with
+  // drop, alert and port-bound drop signatures, through sync mode (one
+  // frame per ECALL) and through packed switchless slots at 1, 2 and 4
+  // rings. Flows recur across bursts, so sticky drops are exercised too.
+  constexpr std::array<std::size_t, 12> kImix = {64,  64,  64,  64,  64,  64,
+                                                 64,  576, 576, 576, 576, 1500};
+  constexpr int kBursts = 200;
+  constexpr int kBurstFrames = 32;
+  for (const std::size_t rings : {1u, 2u, 4u}) {
+    InspectionClient sync_client(load(), InspectionClient::Mode::kSync);
+    sync_client.load_rules(demo_rules());
+    InspectionClient::Options options;
+    options.mode = InspectionClient::Mode::kSwitchless;
+    options.rings = rings;
+    auto enclave = load();
+    InspectionClient switchless(enclave, options);
+    switchless.load_rules(demo_rules());
+
+    std::mt19937 gen(9100 + static_cast<unsigned>(rings));
+    auto below = [&gen](std::uint32_t n) { return gen() % n; };
+    std::size_t frames = 0;
+    int mismatched = 0;
+    const std::uint64_t jobs_before = switchless_jobs(*enclave);
+    for (int b = 0; b < kBursts; ++b) {
+      std::vector<dp::Packet> burst;
+      for (int f = 0; f < kBurstFrames; ++f) {
+        std::string payload(kImix[below(12)], 'a');
+        for (char& c : payload) c = static_cast<char>('a' + below(26));
+        const std::uint32_t kind = below(100);
+        const char* sig = kind < 2   ? "/bin/sh"
+                          : kind < 4 ? "admin admin"
+                          : kind < 5 ? "' OR 1=1"
+                                     : nullptr;
+        if (sig) {
+          const std::string s(sig);
+          payload.replace(below(static_cast<std::uint32_t>(
+                              payload.size() - s.size() + 1)),
+                          s.size(), s);
+        }
+        const std::uint32_t flow = below(48);
+        burst.push_back(make_packet(payload, flow % 2 ? 80 : 8080,
+                                    0x0a010000u + flow));
+      }
+      const auto expected = sync_client.inspect_burst(burst, 1);
+      const auto got = switchless.inspect_burst(burst, 1);
+      bool same = got.size() == expected.size();
+      for (std::size_t i = 0; same && i < got.size(); ++i) {
+        same = got[i].verdict == expected[i].verdict &&
+               got[i].rule == expected[i].rule;
+      }
+      if (!same) ++mismatched;
+      frames += burst.size();
+    }
+    EXPECT_EQ(mismatched, 0) << "rings=" << rings;
+    // Packing: a slot carries about five IMIX frames, so far fewer slots
+    // than frames went through the rings.
+    EXPECT_LT(switchless_jobs(*enclave) - jobs_before, frames / 3)
+        << "rings=" << rings;
+    EXPECT_EQ(switchless.flow_stats().inspected,
+              sync_client.flow_stats().inspected);
+  }
+}
+
+TEST_F(InspectionFixture, SlotFillingFramesTravelAlone) {
+  auto enclave = load();
+  InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
+  client.load_rules(demo_rules());
+
+  // A 64-B frame and an MTU frame share a slot (84 + 1520 bytes); a second
+  // MTU frame does not fit beside them; a kMaxInlineFramePayload frame
+  // fills a slot alone; the last small frame needs a fresh slot.
+  std::vector<dp::Packet> burst;
+  burst.push_back(make_packet(std::string(64, 'a'), 80, 0x0a000901));
+  burst.push_back(make_packet(std::string(1500, 'b'), 80, 0x0a000902));
+  burst.push_back(
+      make_packet(std::string(1500 - 7, 'c') + "/bin/sh", 80, 0x0a000903));
+  burst.push_back(make_packet(
+      std::string(kMaxInlineFramePayload - 7, 'd') + "/bin/sh", 80,
+      0x0a000904));
+  burst.push_back(make_packet(std::string(64, 'e'), 80, 0x0a000905));
+  const std::uint64_t jobs_before = switchless_jobs(*enclave);
+  const auto outcomes = client.inspect_burst(burst, 1);
+  EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 4u);
+  ASSERT_EQ(outcomes.size(), burst.size());
+  const std::array<dp::InspectVerdict, 5> expected = {
+      dp::InspectVerdict::kForward, dp::InspectVerdict::kForward,
+      dp::InspectVerdict::kDrop, dp::InspectVerdict::kDrop,
+      dp::InspectVerdict::kForward};
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].verdict, expected[i]) << i;
+    EXPECT_EQ(outcomes[i].rule, expected[i] == dp::InspectVerdict::kDrop
+                                    ? "exploit-shell"
+                                    : "")
+        << i;
+  }
+}
+
+TEST_F(InspectionFixture, CachedDropWithinOneSlot) {
+  // A drop frame and later frames of the same flow ride one slot: the
+  // later frames are judged after it and get the sticky cached drop.
+  auto enclave = load();
+  InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
+  client.load_rules(demo_rules());
+  const std::vector<dp::Packet> burst = {
+      make_packet("run /bin/sh", 80, 0x0a000a01),
+      make_packet("totally harmless", 80, 0x0a000a01),
+      make_packet("totally harmless", 80, 0x0a000a02),
+      make_packet("also harmless", 80, 0x0a000a01)};
+  const InspectionStats before = client.flow_stats();
+  const std::uint64_t jobs_before = switchless_jobs(*enclave);
+  const auto outcomes = client.inspect_burst(burst, 1);
+  EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 1u);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    EXPECT_EQ(outcomes[i].verdict, dp::InspectVerdict::kDrop) << i;
+    EXPECT_EQ(outcomes[i].rule, "exploit-shell") << i;
+  }
+  EXPECT_EQ(outcomes[2].verdict, dp::InspectVerdict::kForward);
+  const InspectionStats after = client.flow_stats();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 2u);
+  EXPECT_EQ(after.dropped - before.dropped, 3u);
+  EXPECT_EQ(after.flows, 2u);
+}
+
+TEST_F(InspectionFixture, OversizedFrameMidBurstFreesEverySlot) {
+  InspectionClient::Options options;
+  options.mode = InspectionClient::Mode::kSwitchless;
+  options.rings = 2;
+  InspectionClient client(load(), options);
+  client.load_rules(demo_rules());
+  const auto occupancy = [] {
+    std::int64_t total = 0;
+    for (const char* ring : {"inspection/0", "inspection/1"}) {
+      total += obs::registry()
+                   .gauge("vnfsgx_hostcall_ring_occupancy", {{"ring", ring}})
+                   .value();
+    }
+    return total;
+  };
+
+  // Frames before the oversized one sit in open (claimed) slots or in
+  // published ones when it is rejected; all of them must be given back.
+  std::vector<dp::Packet> burst;
+  for (int i = 0; i < 40; ++i) {
+    burst.push_back(make_packet(std::string(100, 'a'), 80, 0x0a000b00 + i));
+  }
+  burst[25] = make_packet(std::string(kMaxInlineFramePayload + 1, 'x'), 80,
+                          0x0a000b99);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_THROW(client.inspect_burst(burst, 1), Error);
+    EXPECT_EQ(occupancy(), 0);
+  }
+  burst[25] = make_packet("run /bin/sh", 80, 0x0a000b99);
+  const auto outcomes = client.inspect_burst(burst, 1);
+  ASSERT_EQ(outcomes.size(), burst.size());
+  EXPECT_EQ(outcomes[25].verdict, dp::InspectVerdict::kDrop);
+  EXPECT_EQ(occupancy(), 0);
+}
+
+TEST_F(InspectionFixture, FlowTableCountsDistinctTuplesThroughTheEnclave) {
+  // 100k distinct flows through the packed ring path, across many rehashes
+  // of every shard's table; a second pass over some of them adds no flow.
+  constexpr std::uint32_t kFlows = 100'000;
+  InspectionClient client(load(), InspectionClient::Mode::kSwitchless);
+  client.load_rules(demo_rules());
+  std::vector<dp::Packet> burst(64, make_packet("clean frame"));
+  for (std::uint32_t base = 0; base < kFlows; base += 64) {
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      burst[i].src_ip = 0x0b000000u + base + i;
+      burst[i].src_port = static_cast<std::uint16_t>(i);
+    }
+    ASSERT_EQ(client.inspect_burst(burst, 1).size(), burst.size());
+  }
+  const std::uint64_t sent = (kFlows + 63) / 64 * 64;
+  InspectionStats stats = client.flow_stats();
+  EXPECT_EQ(stats.flows, sent);
+  EXPECT_EQ(stats.inspected, sent);
+  client.inspect_burst(burst, 1);  // the last 64 flows again
+  stats = client.flow_stats();
+  EXPECT_EQ(stats.flows, sent);
+  EXPECT_EQ(stats.inspected, sent + 64);
+
+  client.reset_flows();
+  EXPECT_EQ(client.flow_stats().flows, 0u);
+  client.inspect_burst(burst, 1);
+  EXPECT_EQ(client.flow_stats().flows, 64u);
 }
 
 // ---------------------------------------------------------------------------

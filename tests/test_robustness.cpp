@@ -4,8 +4,12 @@
 // Deterministic mutation-based sweeps over all TLV decoders, JSON, the
 // HTTP parser, the inspection NF's rule blobs (decoder, compiled matcher,
 // and the enclave's rule loading) and its FrameDescriptor/FrameVerdict wire
-// format (decoders and the enclave handler behind them).
+// format (decoders, and the enclave handler behind them on single
+// descriptors and on packed multi-descriptor slots).
 #include <gtest/gtest.h>
+
+#include <array>
+#include <optional>
 
 #include "common/sim_clock.h"
 #include "core/protocol.h"
@@ -115,20 +119,43 @@ struct RobustnessFixture : public ::testing::Test {
   }
 };
 
-/// A decoded verdict is well formed: a known verdict byte, and a rule name
-/// exactly when the verdict is not a plain forward.
-void expect_well_formed_verdict(ByteView reply) {
-  vnf::wire::FrameVerdict header;
-  const ByteView rule = vnf::wire::decode_verdict(reply, &header);
-  ASSERT_LE(header.verdict, 2);
-  ASSERT_EQ(rule.size(), header.rule_len);
-  ASSERT_EQ(reply.size(), vnf::wire::kVerdictHeaderSize + rule.size());
-  const std::string name(rule.begin(), rule.end());
-  if (header.verdict == 0) {
-    ASSERT_TRUE(name.empty());
-  } else {
-    ASSERT_TRUE(name == "exploit-shell" || name == "telnet-probe") << name;
+/// Descriptors in a kOpInspectFrame request, counted by walking it with
+/// decode_frame; nullopt when the walk fails (no valid slot).
+std::optional<std::size_t> count_descriptors(ByteView slot) {
+  std::size_t count = 0;
+  try {
+    do {
+      vnf::wire::FrameDescriptor header;
+      const ByteView payload = vnf::wire::decode_frame(slot, &header);
+      slot = slot.subspan(vnf::wire::kFrameHeaderSize + payload.size());
+      ++count;
+    } while (!slot.empty());
+  } catch (const Error&) {
+    return std::nullopt;
   }
+  return count;
+}
+
+/// The reply to `slot` is well formed: exactly one verdict per descriptor,
+/// each with a known verdict byte and a rule name exactly when the verdict
+/// is not a plain forward, and nothing after the last one.
+void expect_well_formed_verdicts(ByteView slot, ByteView reply) {
+  const std::optional<std::size_t> frames = count_descriptors(slot);
+  ASSERT_TRUE(frames.has_value()) << "a malformed slot was answered";
+  for (std::size_t i = 0; i < *frames; ++i) {
+    vnf::wire::FrameVerdict header;
+    const ByteView rule = vnf::wire::decode_verdict(reply, &header);
+    ASSERT_LE(header.verdict, 2);
+    ASSERT_EQ(rule.size(), header.rule_len);
+    const std::string name(rule.begin(), rule.end());
+    if (header.verdict == 0) {
+      ASSERT_TRUE(name.empty());
+    } else {
+      ASSERT_TRUE(name == "exploit-shell" || name == "telnet-probe") << name;
+    }
+    reply = reply.subspan(vnf::wire::kVerdictHeaderSize + rule.size());
+  }
+  ASSERT_TRUE(reply.empty()) << reply.size() << " bytes after the verdicts";
 }
 
 TEST_F(RobustnessFixture, CertificateDecoder) {
@@ -363,9 +390,49 @@ TEST_F(RobustnessFixture, InspectionEnclaveFrameHandler) {
   for (const char* payload : {"clean payload", "run /bin/sh now",
                               "login: admin admin"}) {
     mutation_sweep(encoded_frame(payload), [&](const Bytes& b) {
-      expect_well_formed_verdict(enclave->call(vnf::kOpInspectFrame, b));
+      expect_well_formed_verdicts(b, enclave->call(vnf::kOpInspectFrame, b));
     });
   }
+}
+
+TEST_F(RobustnessFixture, InspectionEnclaveSlotHandler) {
+  // Mutated slots of 2-6 descriptors through kOpInspectFrame. Each either
+  // raises Error having judged no frame (the flow statistics do not move)
+  // or returns exactly one well-formed verdict per descriptor it holds.
+  // The flows are reset before each slot, so a judged frame always adds
+  // a flow.
+  sgx::PlatformOptions options;
+  options.crossing_cost = std::chrono::nanoseconds(0);
+  sgx::SgxPlatform platform(rng, "robust-ids", options);
+  auto enclave = inspection_enclave(platform);
+  const std::array<const char*, 6> payloads = {
+      "clean payload", "run /bin/sh now", "login: admin admin",
+      "a somewhat longer clean payload of several words", "", "x"};
+  std::size_t rejected = 0;
+  std::size_t answered = 0;
+  for (std::size_t frames = 2; frames <= payloads.size(); ++frames) {
+    Bytes slot;
+    for (std::size_t i = 0; i < frames; ++i) {
+      const Bytes frame = encoded_frame(payloads[i]);
+      slot.insert(slot.end(), frame.begin(), frame.end());
+    }
+    mutation_sweep(slot, [&](const Bytes& b) {
+      enclave->call(vnf::kOpResetFlows, {});
+      const Bytes stats = enclave->call(vnf::kOpFlowStats, {});
+      Bytes reply;
+      try {
+        reply = enclave->call(vnf::kOpInspectFrame, b);
+      } catch (const Error&) {
+        ++rejected;
+        ASSERT_EQ(enclave->call(vnf::kOpFlowStats, {}), stats);
+        throw;
+      }
+      ++answered;
+      expect_well_formed_verdicts(b, reply);
+    });
+  }
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(answered, 100u);
 }
 
 TEST_F(RobustnessFixture, RetiredInspectOpcodeFailsClosed) {
