@@ -18,6 +18,8 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "crypto/random.h"
@@ -93,12 +95,15 @@ struct BoundaryBench {
 void run_inspection_loop(benchmark::State& state, BoundaryBench& bench,
                          const std::string& label) {
   const auto burst = make_burst(static_cast<std::size_t>(state.range(0)));
+  // The client takes frames by pointer, as the switch punts them.
+  std::vector<const dataplane::Packet*> frames_in;
+  for (const auto& p : burst) frames_in.push_back(&p);
   // Fenced snapshots (not raw ecall_count): the switchless worker thread
   // publishes its counts concurrently.
   const sgx::EcallStats before = bench.enclave->ecall_stats();
   std::int64_t frames = 0;
   for (auto _ : state) {
-    const auto outcomes = bench.client->inspect_burst(burst, 1);
+    const auto outcomes = bench.client->inspect_burst(frames_in, 1);
     benchmark::DoNotOptimize(outcomes.data());
     frames += static_cast<std::int64_t>(outcomes.size());
   }
@@ -191,6 +196,7 @@ BENCHMARK(BM_InspectSwitchlessSweep)
     ->Args({512, 2})
     ->Args({1500, 1})
     ->Args({1500, 2})
+    ->UseRealTime()  // the work runs on the ring workers, not this thread
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectOutsideEnclave(benchmark::State& state) {
@@ -272,23 +278,32 @@ BENCHMARK(BM_RuleMatcher)->Arg(0)->Arg(1);
 
 void BM_RawBoundaryEcho(benchmark::State& state) {
   // Strips the NF out: bare opcode dispatch through each discipline shows
-  // the boundary cost itself (crossings/sec ceiling).
+  // the boundary cost itself (crossings/sec ceiling). kOpFlowStats is the
+  // cheapest pure in-enclave op (no rule walk); the switchless arm drives
+  // a ring directly, since the client sends control opcodes by ECALL.
   const auto mode = static_cast<vnf::InspectionClient::Mode>(state.range(0));
-  BoundaryBench bench(mode);
-  const Bytes payload(64, 0x2a);
+  BoundaryBench bench(vnf::InspectionClient::Mode::kSync);
+  std::unique_ptr<sgx::RingGroup> group;
+  if (mode == vnf::InspectionClient::Mode::kSwitchless) {
+    group = std::make_unique<sgx::RingGroup>(bench.enclave);
+  }
+  std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
   const sgx::EcallStats before = bench.enclave->ecall_stats();
   std::int64_t calls = 0;
   for (auto _ : state) {
-    // kOpFlowStats is the cheapest pure in-enclave op (no rule walk).
     switch (mode) {
       case vnf::InspectionClient::Mode::kSync:
         benchmark::DoNotOptimize(bench.enclave->call(vnf::kOpFlowStats, {}));
         ++calls;
         break;
-      case vnf::InspectionClient::Mode::kSwitchless:
-        benchmark::DoNotOptimize(bench.client->flow_stats().inspected);
+      case vnf::InspectionClient::Mode::kSwitchless: {
+        const sgx::RingGroup::SubmitHandle handle =
+            group->begin_submit_on(0, vnf::kOpFlowStats);
+        group->publish(handle, 0);
+        benchmark::DoNotOptimize(group->wait_into(handle.ticket, result));
         ++calls;
         break;
+      }
     }
   }
   const sgx::EcallStats after = bench.enclave->ecall_stats();

@@ -325,9 +325,6 @@ void BM_ShardedConnSweep(benchmark::State& state) {
   const int conns =
       std::min(static_cast<int>(state.range(0)), sweep_conns_cap());
   const std::size_t shards = static_cast<std::size_t>(state.range(1));
-  // Third arg toggles the connection diet: park=0 is the unparked RSS
-  // baseline measured in the same run (same process, same allocator state).
-  const bool park = state.range(2) != 0;
   set_log_level(LogLevel::kOff);
 
   http::Router router;
@@ -339,7 +336,6 @@ void BM_ShardedConnSweep(benchmark::State& state) {
   net::ServerRuntime runtime({.workers = 4,
                               .shards = shards,
                               .burst_read_timeout = std::chrono::seconds(10),
-                              .park_idle_sessions = park,
                               .name = "bench-sweep"});
   runtime.listen_inmemory(net, kSweepAddress,
                           http::make_http_driver_factory(router));
@@ -461,11 +457,9 @@ void BM_ShardedConnSweep(benchmark::State& state) {
 
   state.SetItemsProcessed(static_cast<std::int64_t>(total));
   state.SetLabel(std::string("conns=") + std::to_string(conns) +
-                 "/shards=" + std::to_string(shards) +
-                 (park ? "" : "/no-park"));
+                 "/shards=" + std::to_string(shards));
   state.counters["conns"] = static_cast<double>(conns);
   state.counters["shards"] = static_cast<double>(runtime.shard_count());
-  state.counters["park"] = park ? 1 : 0;
   state.counters["rss_per_conn_bytes"] = rss_per_conn;
   state.counters["parked_bytes_per_conn"] =
       conns > 0 ? static_cast<double>(fleet_parked_bytes) / conns : 0.0;
@@ -477,8 +471,7 @@ void BM_ShardedConnSweep(benchmark::State& state) {
   state.counters["steals"] = static_cast<double>(runtime.steal_count());
 
   const obs::Labels labels{{"conns", std::to_string(conns)},
-                           {"shards", std::to_string(shards)},
-                           {"park", park ? "1" : "0"}};
+                           {"shards", std::to_string(shards)}};
   obs::registry()
       .gauge("vnfsgx_bench_sweep_requests", labels,
              "Closed-loop requests completed, by resident-fleet size x shards")
@@ -497,19 +490,19 @@ void BM_ShardedConnSweep(benchmark::State& state) {
   }
   runtime.shutdown();
 }
-// The no-park baseline runs FIRST: RSS deltas are only honest while the
-// allocator is cold (later series partly reuse freed high-water pages, so
-// their rss_per_conn_bytes underestimates — compare cold-to-cold across
-// runs, or first-series-to-first-series; vnfsgx_server_parked_bytes_total
-// gives the allocator-independent accounting of what parking releases).
+// RSS deltas are only honest while the allocator is cold (later series
+// partly reuse freed high-water pages, so their rss_per_conn_bytes
+// underestimates — compare first-series-to-first-series across runs;
+// vnfsgx_server_parked_bytes_total gives the allocator-independent
+// accounting of what parking releases). The unparked baseline is frozen
+// in EXPERIMENTS.md SRV-SWEEP: idle connections always park.
 BENCHMARK(BM_ShardedConnSweep)
-    ->Args({10240, 1, 0})
-    ->Args({512, 1, 1})
-    ->Args({512, 4, 1})
-    ->Args({2048, 1, 1})
-    ->Args({2048, 4, 1})
-    ->Args({10240, 1, 1})
-    ->Args({10240, 4, 1})
+    ->Args({512, 1})
+    ->Args({512, 4})
+    ->Args({2048, 1})
+    ->Args({2048, 4})
+    ->Args({10240, 1})
+    ->Args({10240, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime();
 

@@ -33,9 +33,6 @@ VerificationManager::VerificationManager(crypto::RandomSource& rng,
       ias_(std::move(ias)),
       options_(std::move(options)),
       ca_(options_.ca_name, rng, clock) {
-  if (options_.ca_serial_stripes > 1) {
-    ca_.configure_serial_stripes(options_.ca_serial_stripes);
-  }
   // The two enclave identities the system ships are trusted out of the box;
   // operators may allow additional measurements via appraisal().
   appraisal_.allow_enclave(host::attestation_enclave_measurement());

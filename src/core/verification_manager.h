@@ -35,10 +35,6 @@ namespace vnfsgx::core {
 struct VmOptions {
   pki::DistinguishedName ca_name{"verification-manager", "vnfsgx"};
   std::int64_t credential_validity_seconds = 24 * 3600;
-  /// Shard the CA's serial space so concurrent enrollments on different
-  /// runtime shards allocate serials without contending (stripe s hands
-  /// out serials in its own residue class). 1 = sequential serials.
-  std::size_t ca_serial_stripes = 1;
 };
 
 struct HostAttestation {

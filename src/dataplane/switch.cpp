@@ -52,8 +52,7 @@ FlowEntry* Switch::match_flow(const Packet& packet, std::uint16_t in_port) {
 }
 
 ForwardingResult Switch::apply_entry(FlowEntry* entry, const Packet& packet,
-                                     std::uint16_t in_port,
-                                     bool defer_inspection) {
+                                     std::uint16_t in_port) {
   ++total_packets_;
   ForwardingResult result;
   if (!entry) {
@@ -77,41 +76,32 @@ ForwardingResult Switch::apply_entry(FlowEntry* entry, const Packet& packet,
       result.kind = ForwardingResult::Kind::kPacketIn;
       break;
     case ActionType::kInspect:
-      if (defer_inspection) {
-        // process_burst() collects these and punts them in one call; mark
-        // the result so the caller knows it still owes a verdict.
-        result.inspected = true;
-      } else {
-        return run_inspection(*entry, packet, in_port);
-      }
+      // process_burst() collects these and punts them in one call; mark
+      // the result so the caller knows it still owes a verdict.
+      result.inspected = true;
       break;
   }
   return result;
 }
 
 ForwardingResult Switch::process(const Packet& packet, std::uint16_t in_port) {
-  return apply_entry(match_flow(packet, in_port), packet, in_port,
-                     /*defer_inspection=*/false);
+  return std::move(process_burst(std::span(&packet, 1), in_port).front());
 }
 
 std::vector<ForwardingResult> Switch::process_burst(
     std::span<const Packet> packets, std::uint16_t in_port) {
   std::vector<ForwardingResult> results;
   results.reserve(packets.size());
-  // First pass: match + apply every non-punt action. Punted packets are
-  // gathered for one burst-inspector call when it is bound; otherwise they
-  // take the per-packet punt path (which itself fails closed).
+  // First pass: match + apply every non-punt action, gathering the punted
+  // packets for one inspector call.
   std::vector<const Packet*> punted;
   std::vector<std::size_t> punted_index;
   std::vector<FlowEntry*> punted_entry;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const Packet& packet = packets[i];
     FlowEntry* entry = match_flow(packet, in_port);
-    const bool punt = entry != nullptr &&
-                      entry->action.type == ActionType::kInspect &&
-                      has_burst_inspector();
-    results.push_back(apply_entry(entry, packet, in_port, punt));
-    if (punt) {
+    results.push_back(apply_entry(entry, packet, in_port));
+    if (entry != nullptr && entry->action.type == ActionType::kInspect) {
       punted.push_back(&packet);
       punted_index.push_back(i);
       punted_entry.push_back(entry);
@@ -119,17 +109,21 @@ std::vector<ForwardingResult> Switch::process_burst(
   }
   if (punted.empty()) return results;
   // Second pass: one pipelined inspection for the whole punted set. Fail
-  // closed as a unit — a throwing or short-counting inspector must not let
-  // any punted frame through uninspected.
+  // closed as a unit — a missing, throwing or miscounting inspector must
+  // not let any punted frame through uninspected.
   std::vector<InspectionOutcome> outcomes;
   std::string error;
-  try {
-    outcomes = burst_inspector_(punted, in_port);
-    if (outcomes.size() != punted.size()) {
-      error = "inspector-error: burst verdict count mismatch";
+  if (!burst_inspector_) {
+    error = "no-inspector";
+  } else {
+    try {
+      outcomes = burst_inspector_(punted, in_port);
+      if (outcomes.size() != punted.size()) {
+        error = "inspector-error: burst verdict count mismatch";
+      }
+    } catch (const std::exception& e) {
+      error = std::string("inspector-error: ") + e.what();
     }
-  } catch (const std::exception& e) {
-    error = std::string("inspector-error: ") + e.what();
   }
   for (std::size_t j = 0; j < punted.size(); ++j) {
     results[punted_index[j]] =
@@ -139,23 +133,6 @@ std::vector<ForwardingResult> Switch::process_burst(
             : inspection_failure(*punted_entry[j], error);
   }
   return results;
-}
-
-ForwardingResult Switch::run_inspection(FlowEntry& entry, const Packet& packet,
-                                        std::uint16_t in_port) {
-  // Fail closed: a punt flow with no reachable inspector must not let
-  // traffic bypass inspection.
-  if (!inspector_) {
-    return inspection_failure(entry, "no-inspector");
-  }
-  InspectionOutcome outcome;
-  try {
-    outcome = inspector_(packet, in_port);
-  } catch (const std::exception& e) {
-    return inspection_failure(entry,
-                              std::string("inspector-error: ") + e.what());
-  }
-  return finish_inspection(entry, packet, in_port, std::move(outcome));
 }
 
 ForwardingResult Switch::finish_inspection(FlowEntry& entry,

@@ -52,17 +52,14 @@ struct InspectionOutcome {
   std::string rule;  // matched rule name for kDrop / kAlert
 };
 
-/// The punt-path hook. Deliberately an opaque callable: the dataplane knows
-/// nothing about enclaves — the VNF layer binds this to its in-enclave
-/// inspection NF (vnf::InspectionClient::as_inspector).
-using InspectorFn =
-    std::function<InspectionOutcome(const Packet&, std::uint16_t in_port)>;
-
-/// Burst punt-path hook: all packets a burst punted, inspected in one
+/// The punt-path hook: all packets a burst punted, inspected in one
 /// pipelined pass (the switchless ring keeps the whole burst in flight).
-/// Packets are passed by pointer because the punted subset of a burst is
-/// rarely contiguous; outcomes must be positional and complete — a short
-/// or throwing reply fails the whole punted set CLOSED.
+/// Deliberately an opaque callable: the dataplane knows nothing about
+/// enclaves — the VNF layer binds this to its in-enclave inspection NF
+/// (vnf::InspectionClient::as_burst_inspector). Packets are passed by
+/// pointer because the punted subset of a burst is rarely contiguous;
+/// outcomes must be positional and complete — a miscounted or throwing
+/// reply fails the whole punted set CLOSED.
 using BurstInspectorFn = std::function<std::vector<InspectionOutcome>(
     std::span<const Packet* const>, std::uint16_t in_port)>;
 
@@ -105,28 +102,20 @@ class Switch {
   bool remove_flow(const std::string& name);
   const std::vector<FlowEntry>& flows() const { return flows_; }
 
-  /// Process a packet: highest priority match wins; ties broken by match
-  /// specificity, then insertion order.
+  /// Process a packet: a burst of one through process_burst().
   ForwardingResult process(const Packet& packet, std::uint16_t in_port);
 
-  /// Process a burst. Equivalent to calling process() per packet, except
-  /// that punted packets are gathered and handed to the burst inspector in
-  /// one call (falling back to the per-packet inspector, then to the
-  /// fail-closed drop, when no burst inspector is bound). Results are
+  /// Process a burst: per packet, the highest priority match wins; ties
+  /// are broken by match specificity, then insertion order. Punted packets
+  /// are gathered and handed to the inspector in one call. Results are
   /// positional.
   std::vector<ForwardingResult> process_burst(std::span<const Packet> packets,
                                               std::uint16_t in_port);
 
   /// Bind the inspection NF serving this switch's kInspect actions. With no
-  /// inspector bound (or an inspector that throws), kInspect fails CLOSED:
-  /// the packet is dropped rather than forwarded uninspected.
-  void set_inspector(InspectorFn inspector) {
-    inspector_ = std::move(inspector);
-  }
-  bool has_inspector() const { return static_cast<bool>(inspector_); }
-
-  /// Bind the burst inspector used by process_burst (the per-packet
-  /// inspector still serves process()). Same fail-closed contract.
+  /// inspector bound, an inspector that throws, or one that returns a
+  /// verdict count other than the punted count, kInspect fails CLOSED:
+  /// every punted packet is dropped rather than forwarded uninspected.
   void set_burst_inspector(BurstInspectorFn inspector) {
     burst_inspector_ = std::move(inspector);
   }
@@ -145,9 +134,7 @@ class Switch {
  private:
   FlowEntry* match_flow(const Packet& packet, std::uint16_t in_port);
   ForwardingResult apply_entry(FlowEntry* entry, const Packet& packet,
-                               std::uint16_t in_port, bool defer_inspection);
-  ForwardingResult run_inspection(FlowEntry& entry, const Packet& packet,
-                                  std::uint16_t in_port);
+                               std::uint16_t in_port);
   ForwardingResult finish_inspection(FlowEntry& entry, const Packet& packet,
                                      std::uint16_t in_port,
                                      InspectionOutcome outcome);
@@ -157,7 +144,6 @@ class Switch {
   std::uint64_t dpid_;
   std::vector<FlowEntry> flows_;
   std::deque<PacketIn> packet_ins_;
-  InspectorFn inspector_;
   BurstInspectorFn burst_inspector_;
   std::uint64_t total_packets_ = 0;
 };

@@ -606,7 +606,7 @@ void ServerRuntime::finish_burst(Shard& shard, Connection* conn,
                                  BurstResult result) {
   auto& m = metrics_for(options_.name);
   const std::uint64_t id = conn->id;
-  if (result == BurstResult::kKeepAlive && options_.park_idle_sessions &&
+  if (result == BurstResult::kKeepAlive &&
       !stopping_.load(std::memory_order_acquire) &&
       !conn->deadline_fired.load(std::memory_order_acquire)) {
     // Connection diet: release scratch into the shard pool before parking.

@@ -110,10 +110,6 @@ struct ServerOptions {
   /// Evict connections that stay parked (no readiness) this long
   /// (0 = keep idle connections forever, the historical behaviour).
   std::chrono::milliseconds idle_timeout{0};
-  /// Release per-connection scratch buffers into the shard pool when
-  /// parking (ConnectionDriver::on_park); reacquired lazily on the next
-  /// burst. Off = buffers stay resident across idle intervals.
-  bool park_idle_sessions = true;
   /// Prefer one SO_REUSEPORT listener per shard (kernel-balanced accept
   /// affinity); falls back to a single listener with accept-fd round-robin
   /// when the bind fails or there is only one shard.

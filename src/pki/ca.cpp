@@ -28,8 +28,6 @@ CertificateAuthority::CertificateAuthority(DistinguishedName name,
     : name_(std::move(name)),
       clock_(clock),
       key_(crypto::ed25519_expand_key(crypto::ed25519_generate(rng).seed)) {
-  stripe_next_.push_back(
-      std::make_unique<std::atomic<std::uint64_t>>(2));  // 1 is the root
   root_cert_.serial = 1;
   root_cert_.subject = name_;
   root_cert_.issuer = name_;
@@ -53,36 +51,12 @@ std::unique_ptr<CertificateAuthority> CertificateAuthority::subordinate(
   return sub;
 }
 
-void CertificateAuthority::configure_serial_stripes(std::size_t stripes) {
-  if (stripes == 0) stripes = 1;
-  // New stripes start past every serial handed out so far: stripe s opens
-  // at hi + s and steps by `stripes`, so stripes are pairwise disjoint mod
-  // `stripes` and never revisit an issued serial.
-  std::uint64_t hi = 2;
-  for (const auto& next : stripe_next_) {
-    hi = std::max(hi, next->load(std::memory_order_relaxed));
-  }
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> fresh;
-  fresh.reserve(stripes);
-  for (std::size_t s = 0; s < stripes; ++s) {
-    fresh.push_back(std::make_unique<std::atomic<std::uint64_t>>(hi + s));
-  }
-  stripe_next_ = std::move(fresh);
-}
-
-std::uint64_t CertificateAuthority::allocate_serial() {
-  const std::size_t n = stripe_next_.size();
-  const std::size_t s =
-      n == 1 ? 0 : stripe_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-  return stripe_next_[s]->fetch_add(n, std::memory_order_relaxed);
-}
-
 Certificate CertificateAuthority::issue_intermediate(
     const DistinguishedName& subject,
     const crypto::Ed25519PublicKey& subject_key,
     std::int64_t validity_seconds) {
   Certificate cert;
-  cert.serial = allocate_serial();
+  cert.serial = next_serial_.fetch_add(1, std::memory_order_relaxed);
   cert.subject = subject;
   cert.issuer = name_;
   cert.not_before = clock_.now();
@@ -103,7 +77,7 @@ Certificate CertificateAuthority::issue(
   // Lock-free: the Ed25519 signing dominates issuance cost, and under the
   // old whole-method mutex it serialized every enrolling shard.
   Certificate cert;
-  cert.serial = allocate_serial();
+  cert.serial = next_serial_.fetch_add(1, std::memory_order_relaxed);
   cert.subject = subject;
   cert.issuer = name_;
   cert.not_before = clock_.now();

@@ -62,33 +62,20 @@ class CertificateAuthority {
   /// Number of certificates issued so far.
   std::uint64_t issued_count() const;
 
-  /// Shard the serial space for concurrent issuance: stripe `s` of `n`
-  /// hands out serials congruent to its start value mod `n`, so concurrent
-  /// issue() calls never contend on (or collide over) a shared counter.
-  /// All serials handed out after this call are strictly greater than any
-  /// issued before it. The default single stripe preserves the historical
-  /// strictly-sequential serial order. Not safe to call concurrently with
-  /// issuance.
-  void configure_serial_stripes(std::size_t stripes);
-  std::size_t serial_stripes() const { return stripe_next_.size(); }
-
  private:
   RevocationList build_crl_locked() const;
-  std::uint64_t allocate_serial();
 
   // issue()/issue_intermediate() are lock-free: name_/key_ are immutable
   // after construction (subordinate() rewrites root_cert_ before any
   // concurrent use), the clock is thread-safe (SimClock is atomic), and
-  // serial allocation is striped. mutex_ only guards the revocation state.
+  // a serial is one atomic increment. mutex_ only guards the revocation
+  // state.
   mutable std::mutex mutex_;
   DistinguishedName name_;
   const Clock& clock_;
   crypto::Ed25519SigningKey key_;  // expanded once at construction
   Certificate root_cert_;
-  /// Per-stripe next-serial counters; stripe s steps by stripes(). The
-  /// single default stripe starts at 2 (1 is the root) and steps by 1.
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> stripe_next_;
-  std::atomic<std::uint64_t> stripe_cursor_{0};  // round-robin stripe pick
+  std::atomic<std::uint64_t> next_serial_{2};  // 1 is the root
   std::atomic<std::uint64_t> issued_{0};
   std::vector<std::uint64_t> revoked_;  // kept ascending (CRL binary search)
   // Cached encode_crl_serials(revoked_): serials revoke in roughly issue

@@ -247,15 +247,6 @@ EnclaveEntry::EnclaveEntry(Enclave& enclave) : enclave_(enclave) {
 
 EnclaveEntry::~EnclaveEntry() { t_enclave_stack.pop_back(); }
 
-Bytes EnclaveEntry::dispatch(std::uint32_t opcode, ByteView input) {
-  if (enclave_.destroyed_) {
-    throw SecurityViolation("switchless dispatch into destroyed enclave '" +
-                            enclave_.name() + "'");
-  }
-  enclave_.note_dispatch(opcode, Enclave::DispatchPath::kSwitchless);
-  return enclave_.logic_->handle_call(opcode, input, *enclave_.services_);
-}
-
 std::size_t EnclaveEntry::dispatch_into(std::uint32_t opcode, ByteView input,
                                         std::span<std::uint8_t> out) {
   if (enclave_.destroyed_) {

@@ -210,8 +210,8 @@ class Enclave {
 };
 
 /// RAII enclave entry for the switchless hostcall worker: the constructor
-/// performs ONE classic crossing (charged + counted); dispatch() then runs
-/// jobs inside the enclave with no further crossings until destruction
+/// performs ONE classic crossing (charged + counted); dispatch_into() then
+/// runs jobs inside the enclave with no further crossings until destruction
 /// exits. Must be entered and exited on the same thread.
 class EnclaveEntry {
  public:
@@ -221,10 +221,8 @@ class EnclaveEntry {
   EnclaveEntry& operator=(const EnclaveEntry&) = delete;
 
   /// Dispatch one job to the trusted logic without a boundary crossing.
-  Bytes dispatch(std::uint32_t opcode, ByteView input);
-
-  /// Allocation-free variant: the result is written straight into `out`
-  /// (the ring worker's enclave-local scratch) and its length returned.
+  /// The result is written straight into `out` (the ring worker's
+  /// enclave-local scratch) and its length returned.
   /// Prefers TrustedLogic::handle_call_into; falls back to handle_call plus
   /// one copy when the logic has no fixed-buffer path for the opcode.
   /// Throws Error if the result does not fit in `out`.

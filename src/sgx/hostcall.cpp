@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -32,8 +33,6 @@ std::size_t round_up_pow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
-
-std::atomic<std::uint64_t> g_next_group_id{1};
 
 Error payload_too_big(std::size_t len) {
   return Error("hostcall: payload of " + std::to_string(len) +
@@ -180,7 +179,7 @@ RingGroup::Ring::Ring(std::uint32_t index, std::shared_ptr<Enclave> enclave,
       "holding an uncollected result");
   submits_counter_ = &obs::registry().counter(
       "vnfsgx_hostcall_submits_total", {{"ring", name_}},
-      "Jobs published into this hostcall ring (copying and zero-copy)");
+      "Slots published into this hostcall ring");
   worker_ = std::thread(&Ring::worker_main, this);
 }
 
@@ -513,8 +512,7 @@ HostCallStats RingGroup::Ring::stats() const {
 // ---------------------------------------------------------------------------
 
 RingGroup::RingGroup(std::shared_ptr<Enclave> enclave,
-                     RingGroupOptions options)
-    : group_id_(g_next_group_id.fetch_add(1, std::memory_order_relaxed)) {
+                     RingGroupOptions options) {
   if (!enclave) throw Error("hostcall: null enclave");
   const std::size_t n = std::max<std::size_t>(options.rings, 1);
   rings_.reserve(n);
@@ -544,26 +542,6 @@ RingGroup::Ring& RingGroup::ring_at(std::uint32_t index,
   return *rings_[index];
 }
 
-std::size_t RingGroup::home_index() const {
-  // Home-ring assignment is sticky per (thread, group): the first claim a
-  // thread makes picks the next ring round-robin, and every later claim
-  // from that thread prefers it. Keyed by a unique group id, not `this`,
-  // so a recycled allocation cannot inherit a dead group's affinity map.
-  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> homes;
-  for (const auto& [id, ring] : homes) {
-    if (id == group_id_) return ring;
-  }
-  const std::uint32_t assigned =
-      next_home_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<std::uint32_t>(rings_.size());
-  homes.emplace_back(group_id_, assigned);
-  return assigned;
-}
-
-RingGroup::SubmitHandle RingGroup::begin_submit(std::uint32_t opcode) {
-  return rings_[home_index()]->claim(opcode);
-}
-
 RingGroup::SubmitHandle RingGroup::begin_submit_on(std::size_t ring_index,
                                                    std::uint32_t opcode) {
   if (ring_index >= rings_.size()) {
@@ -581,32 +559,8 @@ void RingGroup::abandon(const SubmitHandle& handle) {
   ring_at(handle.ticket.ring, "submit handle").abandon(handle.ticket.slot);
 }
 
-RingGroup::Ticket RingGroup::submit(std::uint32_t opcode, ByteView payload) {
-  if (payload.size() > kMaxHostCallPayload) {
-    throw payload_too_big(payload.size());
-  }
-  const SubmitHandle handle = begin_submit(opcode);
-  if (!payload.empty()) {
-    std::memcpy(handle.payload.data(), payload.data(), payload.size());
-  }
-  publish(handle, payload.size());
-  return handle.ticket;
-}
-
-Bytes RingGroup::wait(Ticket ticket) {
-  // A slot never holds more than kMaxHostCallPayload result bytes, so this
-  // buffer always fits and wait_into's only failures are trusted ones.
-  std::array<std::uint8_t, kMaxHostCallPayload> result;
-  const std::size_t n = wait_into(ticket, result);
-  return Bytes(result.begin(), result.begin() + static_cast<long>(n));
-}
-
 std::size_t RingGroup::wait_into(Ticket ticket, std::span<std::uint8_t> out) {
   return ring_at(ticket.ring, "ticket").wait_into(ticket.slot, out);
-}
-
-Bytes RingGroup::call(std::uint32_t opcode, ByteView payload) {
-  return wait(submit(opcode, payload));
 }
 
 void RingGroup::stop() {

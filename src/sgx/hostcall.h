@@ -10,18 +10,13 @@
 // re-read after validation), executes it, and posts the result back into
 // the slot. No per-job boundary crossing happens on this path.
 //
-// Two submission shapes:
-//   * submit(opcode, bytes)/wait(): copying submit and collect, for
-//     control opcodes.
-//   * begin_submit()/publish() + wait_into(): zero-copy — the caller
-//     serializes its message directly into the claimed slot's payload
-//     region and the result lands in a caller buffer, so a frame round trip
-//     performs zero heap allocations.
-//
-// Ring choice: a submitting thread sticks to its home ring (cache locality,
-// contention-free claims) and blocks there when home is full;
-// begin_submit_on() pins a job to one ring, which is how the inspection NF
-// keeps each flow on one worker.
+// One submission shape, zero-copy: begin_submit_on(ring, opcode) claims a
+// slot on the named ring, the caller serializes its message directly into
+// the slot's payload region, then publish()es (or abandon()s) it, and
+// wait_into() lands the result in a caller buffer — a frame round trip
+// performs zero heap allocations. The caller picks the ring, which is how
+// the inspection NF keeps each flow on one worker; a full ring blocks its
+// submitter rather than diverting the job to a sibling.
 //
 // Idle policy is spin-then-park: after `spin_polls` empty polls a worker
 // exits the enclave and parks on a condition variable, so an idle enclave
@@ -33,7 +28,6 @@
 // memory layout and the trusted/untrusted ownership rules.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -45,13 +39,13 @@
 namespace vnfsgx::sgx {
 
 /// Upper bound on a ring job's payload and result. Oversized payloads are
-/// rejected at the untrusted gate (submit throws); oversized results are
+/// rejected at the untrusted gate (publish throws); oversized results are
 /// truncated to an error inside the enclave.
 inline constexpr std::size_t kMaxHostCallPayload = 2048;
 
 /// Counters exposed for tests and benchmarks (monotonic).
 struct HostCallStats {
-  std::uint64_t submits = 0;             // jobs published into the ring
+  std::uint64_t submits = 0;             // slots published into the ring
   std::uint64_t jobs = 0;                // jobs completed through the ring
   std::uint64_t parks = 0;               // spin budget exhausted, worker slept
   std::uint64_t wakeups = 0;             // park -> run transitions
@@ -78,10 +72,9 @@ struct RingGroupStats {
 };
 
 /// N hostcall rings over one enclave, each with its own resident worker.
-/// Submitting threads are assigned a home ring on first contact
-/// (round-robin) and block on it when it is full. All rings dispatch into
-/// the same TrustedLogic, which therefore must tolerate concurrent calls
-/// when rings > 1.
+/// Every job names its ring, and a submitter blocks on that ring when it
+/// is full. All rings dispatch into the same TrustedLogic, which therefore
+/// must tolerate concurrent calls when rings > 1.
 class RingGroup {
  public:
   /// Starts one in-enclave worker thread per ring. The group shares
@@ -94,7 +87,7 @@ class RingGroup {
   RingGroup& operator=(const RingGroup&) = delete;
 
   /// Handle to a submitted job: the ring that owns the slot and the slot
-  /// index. Pass to wait() or wait_into() exactly once.
+  /// index. Pass to wait_into() exactly once.
   struct Ticket {
     std::uint32_t ring = 0;
     std::uint32_t slot = 0;
@@ -104,7 +97,7 @@ class RingGroup {
   /// serializes its message directly into `payload` (the slot's inline
   /// region, kMaxHostCallPayload bytes) and then either publish()es or
   /// abandon()s the handle — exactly one of the two, exactly once. Between
-  /// begin_submit() and that call the slot is caller-owned and stop()
+  /// begin_submit_on() and that call the slot is caller-owned and stop()
   /// waits for it, so never hold a handle across blocking work.
   struct SubmitHandle {
     Ticket ticket;
@@ -117,15 +110,9 @@ class RingGroup {
   /// Slots currently claimed/queued/executing/unconsumed, over all rings.
   std::size_t occupancy() const;
 
-  /// The calling thread's affine ring (assigned round-robin on first use).
-  std::size_t home_ring() const { return home_index(); }
-
-  /// Zero-copy claim on the calling thread's home ring; blocks while it is
-  /// full (backpressure — never drops). Throws Error once stopped.
-  SubmitHandle begin_submit(std::uint32_t opcode);
-
-  /// Zero-copy claim pinned to one ring (flow steering). Blocks on that
-  /// ring when full.
+  /// Zero-copy claim on ring `ring_index`; blocks while that ring is full
+  /// (backpressure — never drops). Throws Error for a ring the group does
+  /// not have, and once stopped.
   SubmitHandle begin_submit_on(std::size_t ring_index, std::uint32_t opcode);
 
   /// Hand a filled handle to the worker. `payload_len` is how many bytes of
@@ -136,22 +123,11 @@ class RingGroup {
   /// Release an unpublished handle without running a job (error paths).
   void abandon(const SubmitHandle& handle);
 
-  /// Enqueue a job on the home ring, copying `payload` into the slot, as
-  /// begin_submit() does. Throws Error if the payload exceeds
-  /// kMaxHostCallPayload or the group has been stopped.
-  Ticket submit(std::uint32_t opcode, ByteView payload);
-
-  /// Collect a submitted job's result, freeing its slot. Rethrows the
-  /// trusted handler's failure as Error.
-  Bytes wait(Ticket ticket);
-
-  /// Zero-copy collect: the result bytes land in `out` and the result
-  /// length is returned. Throws Error (still freeing the slot) when the
-  /// result does not fit in `out`; rethrows trusted failures like wait().
+  /// Collect a published job's result, freeing its slot: the result bytes
+  /// land in `out` and the result length is returned. Throws Error (still
+  /// freeing the slot) when the result does not fit in `out`, and rethrows
+  /// the trusted handler's failure as Error.
   std::size_t wait_into(Ticket ticket, std::span<std::uint8_t> out);
-
-  /// submit + wait: the drop-in replacement for Enclave::call.
-  Bytes call(std::uint32_t opcode, ByteView payload);
 
   /// Stop every ring: refuse new jobs, let in-flight submitters finish,
   /// drain every queued job through its worker, then join it. Results stay
@@ -164,12 +140,9 @@ class RingGroup {
  private:
   class Ring;
 
-  std::size_t home_index() const;
   Ring& ring_at(std::uint32_t index, const char* what) const;
 
-  std::uint64_t group_id_ = 0;
   std::vector<std::unique_ptr<Ring>> rings_;
-  mutable std::atomic<std::uint32_t> next_home_{0};
 };
 
 }  // namespace vnfsgx::sgx

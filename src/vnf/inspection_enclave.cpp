@@ -39,11 +39,12 @@ const char* mode_label(InspectionClient::Mode mode) {
   return mode == InspectionClient::Mode::kSync ? "sync" : "switchless";
 }
 
-obs::Histogram& inspection_latency(InspectionClient::Mode mode) {
+obs::Histogram& inspection_latency() {
   return obs::registry().histogram(
-      "vnfsgx_inspection_latency_us", {{"mode", mode_label(mode)}},
+      "vnfsgx_inspection_latency_us", {{"mode", "sync"}},
       obs::Histogram::latency_bounds_us(),
-      "Single-frame enclave inspection latency in microseconds");
+      "Single-frame enclave inspection latency in microseconds, one sample "
+      "per sync ECALL");
 }
 
 obs::Histogram& inspection_burst(InspectionClient::Mode mode) {
@@ -350,7 +351,8 @@ InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
                                    Options options)
     : enclave_(std::move(enclave)),
       options_(options),
-      frame_latency_(&inspection_latency(options.mode)),
+      frame_latency_(options.mode == Mode::kSync ? &inspection_latency()
+                                                 : nullptr),
       burst_latency_(&inspection_burst(options.mode)) {
   if (!enclave_) throw Error("inspection client: null enclave");
   if (options_.mode == Mode::kSwitchless) {
@@ -364,19 +366,18 @@ InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
 
 InspectionClient::~InspectionClient() = default;
 
-Bytes InspectionClient::dispatch(std::uint32_t opcode, ByteView input) {
-  if (group_) return group_->call(opcode, input);
-  return enclave_->call(opcode, input);
-}
-
+// Control opcodes take a classic ECALL in both modes: a rule table or its
+// sealed blob can be larger than a ring slot.
 void InspectionClient::load_rules(const RuleSet& rules) {
-  dispatch(kOpLoadRules, rules.encode());
+  enclave_->call(kOpLoadRules, rules.encode());
 }
 
-Bytes InspectionClient::seal_rules() { return dispatch(kOpSealRules, {}); }
+Bytes InspectionClient::seal_rules() {
+  return enclave_->call(kOpSealRules, {});
+}
 
 void InspectionClient::restore_rules(ByteView sealed) {
-  dispatch(kOpRestoreRules, sealed);
+  enclave_->call(kOpRestoreRules, sealed);
 }
 
 std::size_t InspectionClient::ring_for(const dataplane::Packet& packet) const {
@@ -395,23 +396,6 @@ std::size_t InspectionClient::ring_for(const dataplane::Packet& packet) const {
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return static_cast<std::size_t>(h % rings);
-}
-
-dataplane::InspectionOutcome InspectionClient::inspect(
-    const dataplane::Packet& packet, std::uint16_t in_port) {
-  const auto start = std::chrono::steady_clock::now();
-  dataplane::InspectionOutcome outcome;
-  if (group_) {
-    const dataplane::Packet* const one[] = {&packet};
-    outcome = std::move(inspect_burst_switchless(one, in_port).front());
-  } else {
-    Bytes request(wire::kFrameHeaderSize + packet.payload.size());
-    wire::encode_frame(make_descriptor(packet, in_port), packet.payload,
-                       request);
-    outcome = decode_one_verdict(enclave_->call(kOpInspectFrame, request));
-  }
-  frame_latency_->observe(elapsed_us(start));
-  return outcome;
 }
 
 std::vector<dataplane::InspectionOutcome>
@@ -528,15 +512,6 @@ InspectionClient::inspect_burst_switchless(
 }
 
 std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
-    std::span<const dataplane::Packet> packets, std::uint16_t in_port) {
-  std::vector<const dataplane::Packet*> pointers;
-  pointers.reserve(packets.size());
-  for (const dataplane::Packet& p : packets) pointers.push_back(&p);
-  return inspect_burst(std::span<const dataplane::Packet* const>(pointers),
-                       in_port);
-}
-
-std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
     std::span<const dataplane::Packet* const> packets,
     std::uint16_t in_port) {
   const auto start = std::chrono::steady_clock::now();
@@ -544,10 +519,16 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
   if (group_) {
     outcomes = inspect_burst_switchless(packets, in_port);
   } else {
-    // Each inspect() records its own single-frame latency sample.
+    // One ECALL per frame, each a real per-frame latency sample.
     outcomes.reserve(packets.size());
-    for (const dataplane::Packet* p : packets) {
-      outcomes.push_back(inspect(*p, in_port));
+    for (const dataplane::Packet* packet : packets) {
+      const auto frame_start = std::chrono::steady_clock::now();
+      Bytes request(wire::kFrameHeaderSize + packet->payload.size());
+      wire::encode_frame(make_descriptor(*packet, in_port), packet->payload,
+                         request);
+      outcomes.push_back(
+          decode_one_verdict(enclave_->call(kOpInspectFrame, request)));
+      frame_latency_->observe(elapsed_us(frame_start));
     }
   }
   if (!packets.empty()) burst_latency_->observe(elapsed_us(start));
@@ -555,7 +536,7 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
 }
 
 InspectionStats InspectionClient::flow_stats() {
-  const Bytes blob = dispatch(kOpFlowStats, {});
+  const Bytes blob = enclave_->call(kOpFlowStats, {});
   pki::TlvReader r(blob);
   InspectionStats stats;
   stats.flows = r.expect_u64(kTagFlows);
@@ -566,13 +547,7 @@ InspectionStats InspectionClient::flow_stats() {
   return stats;
 }
 
-void InspectionClient::reset_flows() { dispatch(kOpResetFlows, {}); }
-
-dataplane::InspectorFn InspectionClient::as_inspector() {
-  return [this](const dataplane::Packet& packet, std::uint16_t in_port) {
-    return inspect(packet, in_port);
-  };
-}
+void InspectionClient::reset_flows() { enclave_->call(kOpResetFlows, {}); }
 
 dataplane::BurstInspectorFn InspectionClient::as_burst_inspector() {
   return [this](std::span<const dataplane::Packet* const> packets,

@@ -20,6 +20,9 @@
 //     burst order into as few slots as they fit, so one flow's frames
 //     reach one resident worker in burst order and the sticky per-flow
 //     drop never races.
+// The control opcodes (rules, sealing, flow statistics) take a classic
+// ECALL in both modes: a rule table or its sealed blob is not bounded by a
+// ring slot, and control traffic is too rare to need the ring.
 // The trusted handler validates every descriptor of a slot before it
 // judges any frame, so a malformed slot fails closed with no flow touched.
 // The trusted logic is thread-safe: a RingGroup runs one resident worker
@@ -92,6 +95,7 @@ sgx::Measurement inspection_enclave_measurement();
 
 /// Untrusted-side client: marshals packets to the enclave over one of the
 /// two boundary disciplines and adapts the NF to the dataplane punt hook.
+/// inspect_burst() is the one judging entry.
 class InspectionClient {
  public:
   enum class Mode { kSync, kSwitchless };
@@ -105,7 +109,8 @@ class InspectionClient {
   };
 
   /// For kSwitchless a RingGroup (and its in-enclave worker threads) is
-  /// spun up; the other modes call straight into the enclave.
+  /// spun up for the frames; everything else calls straight into the
+  /// enclave.
   explicit InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
                             Mode mode = Mode::kSync);
   InspectionClient(std::shared_ptr<sgx::Enclave> enclave, Options options);
@@ -120,20 +125,14 @@ class InspectionClient {
   Bytes seal_rules();
   void restore_rules(ByteView sealed);
 
-  /// Inspect one frame. Records one per-frame latency sample.
-  dataplane::InspectionOutcome inspect(const dataplane::Packet& packet,
-                                       std::uint16_t in_port);
-
-  /// Inspect a burst. kSync pays one crossing per frame (and records each
-  /// frame's latency); kSwitchless steers each frame to its flow's ring and
-  /// packs each ring's frames into as few slots as they fit, with a bounded
-  /// in-flight window of slots per ring. Either way the burst adds one
-  /// sample to the per-burst histogram. Outcomes are positional.
-  std::vector<dataplane::InspectionOutcome> inspect_burst(
-      std::span<const dataplane::Packet> packets, std::uint16_t in_port);
-
-  /// Pointer-burst variant (the Switch punt path hands the non-contiguous
-  /// punted subset this way; frames are never copied to regroup them).
+  /// Inspect a burst, given by pointer (the Switch punt path hands the
+  /// non-contiguous punted subset this way; frames are never copied to
+  /// regroup them). kSync makes one Enclave::call per frame and records
+  /// one per-frame latency sample per call; kSwitchless steers each frame
+  /// to its flow's ring and packs each ring's frames into as few slots as
+  /// they fit, with a bounded in-flight window of slots per ring. Either
+  /// way a non-empty burst adds one sample to the per-burst histogram.
+  /// Outcomes are positional.
   std::vector<dataplane::InspectionOutcome> inspect_burst(
       std::span<const dataplane::Packet* const> packets,
       std::uint16_t in_port);
@@ -141,16 +140,12 @@ class InspectionClient {
   InspectionStats flow_stats();
   void reset_flows();
 
-  /// Bind this NF to Switch::set_inspector. The returned callable holds a
-  /// plain reference: the client must outlive any switch it is bound to.
-  dataplane::InspectorFn as_inspector();
-
-  /// Bind to Switch::set_burst_inspector: the whole punted burst rides the
-  /// ring group in one pipelined window. Same lifetime rule as above.
+  /// Bind to Switch::set_burst_inspector: the whole punted burst goes
+  /// through inspect_burst(). The returned callable holds a plain
+  /// reference: the client must outlive any switch it is bound to.
   dataplane::BurstInspectorFn as_burst_inspector();
 
  private:
-  Bytes dispatch(std::uint32_t opcode, ByteView input);
   std::size_t ring_for(const dataplane::Packet& packet) const;
   std::vector<dataplane::InspectionOutcome> inspect_burst_switchless(
       std::span<const dataplane::Packet* const> packets,
@@ -158,7 +153,7 @@ class InspectionClient {
 
   std::shared_ptr<sgx::Enclave> enclave_;
   Options options_;
-  obs::Histogram* frame_latency_;  // vnfsgx_inspection_latency_us{mode}
+  obs::Histogram* frame_latency_;  // vnfsgx_inspection_latency_us (sync)
   obs::Histogram* burst_latency_;  // vnfsgx_inspection_burst_us{mode}
   std::unique_ptr<sgx::RingGroup> group_;
 };

@@ -1,6 +1,6 @@
 // Switchless ECALL runtime tests: the hostcall ring behind a one-ring
-// RingGroup (submit/wait, spin-then-park, backpressure, teardown drain),
-// multi-ring groups (affinity, backpressure, aggregation), and the failure
+// RingGroup (round trips, spin-then-park, backpressure, teardown drain),
+// multi-ring groups (per-ring backpressure, aggregation), and the failure
 // modes at the trusted/untrusted boundary.
 #include <gtest/gtest.h>
 
@@ -37,6 +37,34 @@ std::string tag(const char* prefix, std::size_t n) {
   std::string s(prefix);
   s += std::to_string(n);
   return s;
+}
+
+// Copying submit / collect / round trip, built from the ring's one
+// submission shape (begin_submit_on, publish, wait_into).
+
+/// Claims a slot on ring `ring`, copies `payload` into it and publishes
+/// it. A payload over kMaxHostCallPayload is truncated in the slot but
+/// published at its full length, so publish()'s gate sees and rejects it.
+RingGroup::Ticket ring_submit(RingGroup& group, std::uint32_t opcode,
+                              ByteView payload, std::size_t ring = 0) {
+  const RingGroup::SubmitHandle handle = group.begin_submit_on(ring, opcode);
+  if (!payload.empty()) {
+    std::memcpy(handle.payload.data(), payload.data(),
+                std::min(payload.size(), handle.payload.size()));
+  }
+  group.publish(handle, payload.size());
+  return handle.ticket;
+}
+
+Bytes ring_wait(RingGroup& group, RingGroup::Ticket ticket) {
+  std::array<std::uint8_t, kMaxHostCallPayload> out;
+  const std::size_t n = group.wait_into(ticket, out);
+  return Bytes(out.begin(), out.begin() + static_cast<long>(n));
+}
+
+Bytes ring_call(RingGroup& group, std::uint32_t opcode, ByteView payload,
+                std::size_t ring = 0) {
+  return ring_wait(group, ring_submit(group, opcode, payload, ring));
 }
 
 /// Test gate the trusted logic can block on, controlled from the outside.
@@ -134,7 +162,7 @@ class HostCallFixture : public ::testing::Test {
 TEST_F(HostCallFixture, RingEchoRoundTrip) {
   auto enclave = load();
   RingGroup ring(enclave);
-  const Bytes out = ring.call(kEcho, to_bytes("through the ring"));
+  const Bytes out = ring_call(ring, kEcho, to_bytes("through the ring"));
   EXPECT_EQ(to_string(out), "through the ring");
   EXPECT_EQ(ring.stats().total.jobs, 1u);
   EXPECT_EQ(ring.occupancy(), 0u);
@@ -154,14 +182,14 @@ TEST_F(HostCallFixture, SwitchlessAvoidsPerJobCrossings) {
   std::size_t collected = 0;
   for (int i = 0; i < kJobs; ++i) {
     if (tickets.size() - collected >= 32) {
-      const Bytes out = ring.wait(tickets[collected]);
+      const Bytes out = ring_wait(ring, tickets[collected]);
       EXPECT_EQ(to_string(out), tag("p", collected));
       ++collected;
     }
-    tickets.push_back(ring.submit(kEcho, to_bytes(tag("p", i))));
+    tickets.push_back(ring_submit(ring, kEcho, to_bytes(tag("p", i))));
   }
   while (collected < tickets.size()) {
-    const Bytes out = ring.wait(tickets[collected]);
+    const Bytes out = ring_wait(ring, tickets[collected]);
     EXPECT_EQ(to_string(out), tag("p", collected));
     ++collected;
   }
@@ -188,10 +216,10 @@ TEST_F(HostCallFixture, RingRunsOneSubmittersJobsInOrder) {
   tickets.reserve(kJobs);
   std::size_t collected = 0;
   for (std::size_t i = 0; i < kJobs; ++i) {
-    if (tickets.size() - collected >= 4) ring.wait(tickets[collected++]);
-    tickets.push_back(ring.submit(kRecord, to_bytes(tag("j", i))));
+    if (tickets.size() - collected >= 4) ring_wait(ring, tickets[collected++]);
+    tickets.push_back(ring_submit(ring, kRecord, to_bytes(tag("j", i))));
   }
-  while (collected < tickets.size()) ring.wait(tickets[collected++]);
+  while (collected < tickets.size()) ring_wait(ring, tickets[collected++]);
 
   std::lock_guard<std::mutex> lk(journal_->mutex);
   ASSERT_EQ(journal_->entries.size(), kJobs);
@@ -207,21 +235,21 @@ TEST_F(HostCallFixture, RingWorkerRunsInsideTheEnclave) {
   RingGroup ring(enclave);
   // Vault access throws SecurityViolation unless executing inside the
   // enclave — a round trip proves the ring worker really is "inside".
-  ring.call(kStore, to_bytes("ring-credential"));
-  EXPECT_EQ(to_string(ring.call(kLoad, {})), "ring-credential");
+  ring_call(ring, kStore, to_bytes("ring-credential"));
+  EXPECT_EQ(to_string(ring_call(ring, kLoad, {})), "ring-credential");
 }
 
 TEST_F(HostCallFixture, RingPropagatesTrustedErrors) {
   auto enclave = load();
   RingGroup ring(enclave);
   try {
-    ring.call(kFail, {});
+    ring_call(ring, kFail, {});
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("refused"), std::string::npos);
   }
   // The failed slot was freed; the ring keeps working.
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("ok"))), "ok");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("ok"))), "ok");
   EXPECT_EQ(ring.occupancy(), 0u);
 }
 
@@ -241,7 +269,7 @@ TEST_F(HostCallFixture, ConcurrentSubmitters) {
         msg += std::to_string(t);
         msg += '.';
         msg += std::to_string(i);
-        const Bytes out = ring.call(kEcho, to_bytes(msg));
+        const Bytes out = ring_call(ring, kEcho, to_bytes(msg));
         if (to_string(out) != msg) failures.fetch_add(1);
       }
     });
@@ -264,7 +292,7 @@ TEST_F(HostCallFixture, SpinBudgetExhaustionParksAndWakes) {
   }
   EXPECT_GE(ring.stats().total.parks, 1u);
   // A submission must wake it (the classic-ECALL wakeup edge).
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("wake"))), "wake");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("wake"))), "wake");
   EXPECT_GE(ring.stats().total.wakeups, 1u);
 }
 
@@ -276,19 +304,19 @@ TEST_F(HostCallFixture, OversizedPayloadRejectedAtTheGate) {
   auto enclave = load();
   RingGroup ring(enclave);
   const Bytes too_big(kMaxHostCallPayload + 1, 0x41);
-  EXPECT_THROW(ring.submit(kEcho, too_big), Error);
+  EXPECT_THROW(ring_submit(ring, kEcho, too_big), Error);
   // Nothing was enqueued and the ring still works.
   EXPECT_EQ(ring.occupancy(), 0u);
   EXPECT_EQ(ring.stats().total.jobs, 0u);
   const Bytes max_size(kMaxHostCallPayload, 0x42);
-  EXPECT_EQ(ring.call(kEcho, max_size), max_size);
+  EXPECT_EQ(ring_call(ring, kEcho, max_size), max_size);
 }
 
 TEST_F(HostCallFixture, OversizedTrustedResultFailsTheJob) {
   auto enclave = load();
   RingGroup ring(enclave);
   try {
-    ring.call(kBigResult, {});
+    ring_call(ring, kBigResult, {});
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("slot capacity"), std::string::npos);
@@ -304,23 +332,23 @@ TEST_F(HostCallFixture, FullRingBlocksInsteadOfDropping) {
   ASSERT_EQ(ring.capacity(), 2u);
 
   // Slot 1: a job the worker is stuck executing until we open the gate.
-  const auto blocked = ring.submit(kGateWait, {});
+  const auto blocked = ring_submit(ring, kGateWait, {});
   // Slot 2: queued behind it.
-  const auto queued = ring.submit(kEcho, to_bytes("queued"));
+  const auto queued = ring_submit(ring, kEcho, to_bytes("queued"));
 
   // Third submission finds the ring full and must block — not drop.
   std::atomic<bool> third_done{false};
   Bytes third_result;
   std::thread submitter([&] {
-    third_result = ring.call(kEcho, to_bytes("backpressured"));
+    third_result = ring_call(ring, kEcho, to_bytes("backpressured"));
     third_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(third_done.load());  // still blocked, nothing lost
 
   gate_->release();
-  EXPECT_EQ(to_string(ring.wait(blocked)), "released");  // frees a slot
-  EXPECT_EQ(to_string(ring.wait(queued)), "queued");
+  EXPECT_EQ(to_string(ring_wait(ring, blocked)), "released");  // frees a slot
+  EXPECT_EQ(to_string(ring_wait(ring, queued)), "queued");
   submitter.join();
   EXPECT_TRUE(third_done.load());
   EXPECT_EQ(to_string(third_result), "backpressured");
@@ -335,20 +363,20 @@ TEST_F(HostCallFixture, StopDrainsInFlightJobsCleanly) {
   RingGroup ring(enclave, options);
   std::vector<RingGroup::Ticket> tickets;
   for (int i = 0; i < 8; ++i) {
-    tickets.push_back(ring.submit(kEcho, to_bytes(tag("drain", i))));
+    tickets.push_back(ring_submit(ring, kEcho, to_bytes(tag("drain", i))));
   }
   ring.stop();
   EXPECT_TRUE(ring.stopped());
   // Every submitted job was executed before the worker exited; results are
   // still collectable — no dangling slots.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(to_string(ring.wait(tickets[i])), tag("drain", i));
+    EXPECT_EQ(to_string(ring_wait(ring, tickets[i])), tag("drain", i));
   }
   EXPECT_EQ(ring.stats().total.jobs, 8u);
   EXPECT_EQ(ring.occupancy(), 0u);
   // New work is refused after stop.
-  EXPECT_THROW(ring.submit(kEcho, to_bytes("late")), Error);
-  EXPECT_THROW(ring.call(kEcho, to_bytes("late")), Error);
+  EXPECT_THROW(ring_submit(ring, kEcho, to_bytes("late")), Error);
+  EXPECT_THROW(ring_call(ring, kEcho, to_bytes("late")), Error);
 }
 
 TEST_F(HostCallFixture, DestructionWithUncollectedResultsIsClean) {
@@ -356,7 +384,7 @@ TEST_F(HostCallFixture, DestructionWithUncollectedResultsIsClean) {
   {
     RingGroup ring(enclave);
     for (int i = 0; i < 4; ++i) {
-      ring.submit(kEcho, to_bytes("abandoned"));
+      ring_submit(ring, kEcho, to_bytes("abandoned"));
     }
     // Destructor stops + drains; uncollected kDone slots must not leak or
     // dangle (ASan/TSan verify).
@@ -370,13 +398,13 @@ TEST_F(HostCallFixture, StopUnblocksBackpressuredSubmitters) {
   RingGroupOptions options;
   options.ring_capacity = 2;
   auto ring = std::make_unique<RingGroup>(enclave, options);
-  ring->submit(kGateWait, {});
-  ring->submit(kEcho, {});  // ring now full
+  ring_submit(*ring, kGateWait, {});
+  ring_submit(*ring, kEcho, {});  // ring now full
 
   std::atomic<bool> threw{false};
   std::thread submitter([&] {
     try {
-      ring->submit(kEcho, to_bytes("doomed"));
+      ring_submit(*ring, kEcho, to_bytes("doomed"));
     } catch (const Error&) {
       threw.store(true);
     }
@@ -410,7 +438,7 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
   int mismatches = 0;
   auto collect = [&] {
     try {
-      const Bytes out = ring.wait(tickets[collected]);
+      const Bytes out = ring_wait(ring, tickets[collected]);
       if (to_string(out) != tag("f", frame_of[collected])) {
         ++mismatches;
       }
@@ -422,7 +450,7 @@ TEST_F(HostCallFixture, StopRacingPipelineNeverMisdeliversResults) {
   for (int i = 0; i < kFrames; ++i) {
     if (tickets.size() - collected >= 4) collect();
     try {
-      tickets.push_back(ring.submit(kEcho, to_bytes(tag("f", i))));
+      tickets.push_back(ring_submit(ring, kEcho, to_bytes(tag("f", i))));
       frame_of.push_back(i);
     } catch (const Error&) {
       break;  // ring stopped mid-pipeline
@@ -446,13 +474,13 @@ TEST_F(HostCallFixture, InvalidTicketRejected) {
   auto enclave = load();
   RingGroup ring(enclave);
   // Out-of-range slot on a real ring, then a ring the group does not have.
-  EXPECT_THROW(ring.wait(RingGroup::Ticket{0, 1u << 20}), Error);
-  EXPECT_THROW(ring.wait(RingGroup::Ticket{1, 0}), Error);
+  EXPECT_THROW(ring_wait(ring, RingGroup::Ticket{0, 1u << 20}), Error);
+  EXPECT_THROW(ring_wait(ring, RingGroup::Ticket{1, 0}), Error);
   EXPECT_EQ(ring.occupancy(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy submission (begin_submit / publish / wait_into)
+// Zero-copy submission (begin_submit_on / publish / wait_into)
 // ---------------------------------------------------------------------------
 
 TEST_F(HostCallFixture, ZeroCopyRoundTrip) {
@@ -460,7 +488,7 @@ TEST_F(HostCallFixture, ZeroCopyRoundTrip) {
   RingGroup ring(enclave);
   const std::string msg = "serialized straight into the slot";
 
-  const auto handle = ring.begin_submit(kEcho);
+  const auto handle = ring.begin_submit_on(0, kEcho);
   ASSERT_EQ(handle.payload.size(), kMaxHostCallPayload);
   std::memcpy(handle.payload.data(), msg.data(), msg.size());
   ring.publish(handle, msg.size());
@@ -479,7 +507,7 @@ TEST_F(HostCallFixture, AbandonedHandleFreesTheSlot) {
   options.ring_capacity = 2;
   RingGroup ring(enclave, options);
 
-  const auto handle = ring.begin_submit(kEcho);
+  const auto handle = ring.begin_submit_on(0, kEcho);
   EXPECT_EQ(ring.occupancy(), 1u);
   ring.abandon(handle);
   EXPECT_EQ(ring.occupancy(), 0u);
@@ -487,26 +515,27 @@ TEST_F(HostCallFixture, AbandonedHandleFreesTheSlot) {
   EXPECT_EQ(ring.stats().total.jobs, 0u);
 
   // The slot really is reusable: fill the whole (tiny) ring afterwards.
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("a"))), "a");
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("b"))), "b");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("a"))), "a");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("b"))), "b");
 }
 
 TEST_F(HostCallFixture, OversizedPublishRejectedAndSlotFreed) {
   auto enclave = load();
   RingGroup ring(enclave);
-  const auto handle = ring.begin_submit(kEcho);
+  const auto handle = ring.begin_submit_on(0, kEcho);
   EXPECT_THROW(ring.publish(handle, kMaxHostCallPayload + 1), Error);
   // The rejected handle was released, not leaked.
   EXPECT_EQ(ring.occupancy(), 0u);
   EXPECT_EQ(ring.stats().total.submits, 0u);
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("still fine"))), "still fine");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("still fine"))),
+            "still fine");
 }
 
 TEST_F(HostCallFixture, WaitIntoSmallBufferFailsButFreesTheSlot) {
   auto enclave = load();
   RingGroup ring(enclave);
   const Bytes big(256, 0x55);
-  const auto ticket = ring.submit(kEcho, big);
+  const auto ticket = ring_submit(ring, kEcho, big);
   std::array<std::uint8_t, 16> tiny{};
   try {
     ring.wait_into(ticket, tiny);
@@ -515,13 +544,13 @@ TEST_F(HostCallFixture, WaitIntoSmallBufferFailsButFreesTheSlot) {
     EXPECT_NE(std::string(e.what()).find("caller buffer"), std::string::npos);
   }
   EXPECT_EQ(ring.occupancy(), 0u);  // failed collection still frees the slot
-  EXPECT_EQ(to_string(ring.call(kEcho, to_bytes("next"))), "next");
+  EXPECT_EQ(to_string(ring_call(ring, kEcho, to_bytes("next"))), "next");
 }
 
 TEST_F(HostCallFixture, WaitIntoPropagatesTrustedErrors) {
   auto enclave = load();
   RingGroup ring(enclave);
-  const auto ticket = ring.submit(kFail, {});
+  const auto ticket = ring_submit(ring, kFail, {});
   std::array<std::uint8_t, kMaxHostCallPayload> out{};
   try {
     ring.wait_into(ticket, out);
@@ -535,7 +564,7 @@ TEST_F(HostCallFixture, WaitIntoPropagatesTrustedErrors) {
 TEST_F(HostCallFixture, StopWaitsForUnpublishedHandles) {
   auto enclave = load();
   RingGroup ring(enclave);
-  const auto handle = ring.begin_submit(kEcho);
+  const auto handle = ring.begin_submit_on(0, kEcho);
   std::memcpy(handle.payload.data(), "held", 4);
 
   std::atomic<bool> stop_done{false};
@@ -552,94 +581,57 @@ TEST_F(HostCallFixture, StopWaitsForUnpublishedHandles) {
   ring.publish(handle, 4);
   stopper.join();
   EXPECT_TRUE(stop_done.load());
-  EXPECT_EQ(to_string(ring.wait(handle.ticket)), "held");
+  EXPECT_EQ(to_string(ring_wait(ring, handle.ticket)), "held");
   EXPECT_EQ(ring.occupancy(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// RingGroup: affinity, backpressure, aggregation, teardown
+// RingGroup: per-ring backpressure, aggregation, teardown
 // ---------------------------------------------------------------------------
 
-TEST_F(HostCallFixture, GroupAffinityKeepsAThreadOnItsHomeRing) {
-  auto enclave = load();
-  RingGroupOptions options;
-  options.rings = 2;
-  options.name = "affine";
-  RingGroup group(enclave, options);
-  ASSERT_EQ(group.rings(), 2u);
-  const std::size_t home = group.home_ring();
-  ASSERT_LT(home, 2u);
-
-  for (int i = 0; i < 8; ++i) {
-    const auto ticket = group.submit(kEcho, to_bytes(tag("a", i)));
-    EXPECT_EQ(ticket.ring, home);  // never wanders while home has space
-    EXPECT_EQ(to_string(group.wait(ticket)), tag("a", i));
-  }
-
-  const RingGroupStats stats = group.stats();
-  EXPECT_EQ(stats.per_ring[home].jobs, 8u);
-  EXPECT_EQ(stats.per_ring[1 - home].jobs, 0u);
-  EXPECT_EQ(stats.total.jobs, 8u);
-}
-
-TEST_F(HostCallFixture, GroupFullHomeRingBlocksOnHome) {
+TEST_F(HostCallFixture, GroupFullRingBlocksItsSubmitterOnly) {
   auto enclave = load();
   RingGroupOptions options;
   options.rings = 2;
   options.ring_capacity = 2;
-  options.name = "homefull";
+  options.name = "ringfull";
   RingGroup group(enclave, options);
+  ASSERT_EQ(group.rings(), 2u);
+  EXPECT_THROW(group.begin_submit_on(2, kEcho), Error);  // no such ring
 
-  // A submitter thread learns its home ring, then waits while that ring is
-  // filled: one job parked on the gate, one queued behind it. Slots stay
-  // occupied until collected, so home is deterministically full.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t home = 2;
-  bool filled = false;
+  // Fill ring 1: one job parked on the gate, one queued behind it. Slots
+  // stay occupied until collected, so the ring is deterministically full.
+  auto stuck = group.begin_submit_on(1, kGateWait);
+  group.publish(stuck, 0);
+  const RingGroup::Ticket queued = ring_submit(group, kEcho,
+                                               to_bytes("queued"), 1);
+
   std::atomic<bool> submitted{false};
   RingGroup::Ticket blocked_ticket;
   std::thread submitter([&] {
-    {
-      std::unique_lock<std::mutex> lk(mutex);
-      home = group.home_ring();
-      cv.notify_all();
-      cv.wait(lk, [&] { return filled; });
-    }
-    blocked_ticket = group.submit(kEcho, to_bytes("blocked"));
+    blocked_ticket = ring_submit(group, kEcho, to_bytes("blocked"), 1);
     submitted.store(true);
   });
-  {
-    std::unique_lock<std::mutex> lk(mutex);
-    cv.wait(lk, [&] { return home < 2; });
-  }
-  auto stuck = group.begin_submit_on(home, kGateWait);
-  group.publish(stuck, 0);
-  auto queued = group.begin_submit_on(home, kEcho);
-  std::memcpy(queued.payload.data(), "queued", 6);
-  group.publish(queued, 6);
-  {
-    std::lock_guard<std::mutex> lk(mutex);
-    filled = true;
-    cv.notify_all();
-  }
-
-  // The sibling ring has free slots, but a full home ring blocks the
-  // submitter (backpressure) instead of diverting its job.
-  while (group.stats().per_ring[home].backpressure_waits == 0) {
+  // The sibling ring has free slots, but a full ring blocks its submitter
+  // (backpressure) instead of diverting the job: flow steering relies on
+  // a job running on the ring it names.
+  while (group.stats().per_ring[1].backpressure_waits == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(submitted.load());
-  EXPECT_EQ(group.stats().per_ring[1 - home].submits, 0u);
+  // Ring 0 is unaffected by its full sibling.
+  EXPECT_EQ(to_string(ring_call(group, kEcho, to_bytes("free"), 0)), "free");
 
   gate_->release();
-  EXPECT_EQ(to_string(group.wait(stuck.ticket)), "released");
-  EXPECT_EQ(to_string(group.wait(queued.ticket)), "queued");
+  EXPECT_EQ(to_string(ring_wait(group, stuck.ticket)), "released");
+  EXPECT_EQ(to_string(ring_wait(group, queued)), "queued");
   submitter.join();
   EXPECT_TRUE(submitted.load());
-  EXPECT_EQ(blocked_ticket.ring, home);
-  EXPECT_EQ(to_string(group.wait(blocked_ticket)), "blocked");
-  EXPECT_EQ(group.stats().per_ring[1 - home].submits, 0u);
+  EXPECT_EQ(blocked_ticket.ring, 1u);
+  EXPECT_EQ(to_string(ring_wait(group, blocked_ticket)), "blocked");
+  const RingGroupStats stats = group.stats();
+  EXPECT_EQ(stats.per_ring[0].submits, 1u);
+  EXPECT_EQ(stats.per_ring[1].submits, 3u);
   EXPECT_EQ(group.occupancy(), 0u);
 }
 
@@ -724,8 +716,8 @@ TEST_F(HostCallFixture, GroupStopDrainsInFlightWindowsAcrossRings) {
               tag("w", i));
   }
   EXPECT_EQ(group.occupancy(), 0u);
-  EXPECT_THROW(group.submit(kEcho, to_bytes("late")), Error);
-  EXPECT_THROW(group.begin_submit(kEcho), Error);
+  EXPECT_THROW(ring_submit(group, kEcho, to_bytes("late")), Error);
+  EXPECT_THROW(group.begin_submit_on(2, kEcho), Error);
 }
 
 TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
@@ -761,7 +753,9 @@ TEST_F(HostCallFixture, GroupStressManyProducersWithAffinityChurn) {
               handle.ticket, out);
           got.assign(out.begin(), out.begin() + static_cast<long>(n));
         } else {
-          got = to_string(group.call(kEcho, to_bytes(msg)));
+          // The thread's own ring for the rest.
+          got = to_string(ring_call(group, kEcho, to_bytes(msg),
+                                    static_cast<std::size_t>(t) % 3));
         }
         if (got != msg) failures.fetch_add(1);
       }

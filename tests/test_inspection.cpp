@@ -2,13 +2,14 @@
 // Aho-Corasick matcher (differential against a naive search), the flat
 // flow table, enclave verdicts + flow/verdict-cache state, packed ring
 // slots (differential against sync mode), sealed rule provisioning, and
-// the dataplane punt path end to end.
+// the dataplane punt path (the switch's one burst hook) end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -56,6 +57,23 @@ dp::Packet make_packet(const std::string& payload, std::uint16_t dst_port = 80,
   p.proto = dp::IpProto::kTcp;
   p.payload = to_bytes(payload);
   return p;
+}
+
+/// InspectionClient::inspect_burst over a contiguous burst: the client
+/// takes frames by pointer, as the switch punts them.
+std::vector<dp::InspectionOutcome> inspect_all(
+    InspectionClient& client, const std::vector<dp::Packet>& burst) {
+  std::vector<const dp::Packet*> frames;
+  frames.reserve(burst.size());
+  for (const dp::Packet& packet : burst) frames.push_back(&packet);
+  return client.inspect_burst(frames, 1);
+}
+
+/// A burst of one frame.
+dp::InspectionOutcome inspect_one(InspectionClient& client,
+                                  const dp::Packet& packet) {
+  const dp::Packet* const frame[] = {&packet};
+  return std::move(client.inspect_burst(frame, 1).front());
 }
 
 class InspectionFixture : public ::testing::Test {
@@ -481,16 +499,16 @@ TEST_F(InspectionFixture, VerdictsFromTheEnclave) {
   InspectionClient client(load());
   client.load_rules(demo_rules());
 
-  const auto clean = client.inspect(make_packet("GET / HTTP/1.1"), 1);
+  const auto clean = inspect_one(client, make_packet("GET / HTTP/1.1"));
   EXPECT_EQ(clean.verdict, dp::InspectVerdict::kForward);
   EXPECT_TRUE(clean.rule.empty());
 
-  const auto dropped = client.inspect(make_packet("exec /bin/sh -c id"), 1);
+  const auto dropped = inspect_one(client, make_packet("exec /bin/sh -c id"));
   EXPECT_EQ(dropped.verdict, dp::InspectVerdict::kDrop);
   EXPECT_EQ(dropped.rule, "exploit-shell");
 
   const auto alerted =
-      client.inspect(make_packet("login: admin admin", 23, 0x0a000002), 1);
+      inspect_one(client, make_packet("login: admin admin", 23, 0x0a000002));
   EXPECT_EQ(alerted.verdict, dp::InspectVerdict::kAlert);
   EXPECT_EQ(alerted.rule, "telnet-probe");
 
@@ -507,15 +525,15 @@ TEST_F(InspectionFixture, DropVerdictIsStickyPerFlow) {
   client.load_rules(demo_rules());
 
   // First packet of the flow matches and poisons it.
-  const auto first = client.inspect(make_packet("run /bin/sh"), 1);
+  const auto first = inspect_one(client, make_packet("run /bin/sh"));
   EXPECT_EQ(first.verdict, dp::InspectVerdict::kDrop);
   // Second packet of the SAME flow is clean but still dropped, from cache.
-  const auto second = client.inspect(make_packet("totally harmless"), 1);
+  const auto second = inspect_one(client, make_packet("totally harmless"));
   EXPECT_EQ(second.verdict, dp::InspectVerdict::kDrop);
   EXPECT_EQ(second.rule, "exploit-shell");
   // A different flow with the same clean payload sails through.
   const auto other =
-      client.inspect(make_packet("totally harmless", 80, 0x0a0000ff), 1);
+      inspect_one(client, make_packet("totally harmless", 80, 0x0a0000ff));
   EXPECT_EQ(other.verdict, dp::InspectVerdict::kForward);
 
   const InspectionStats stats = client.flow_stats();
@@ -526,13 +544,13 @@ TEST_F(InspectionFixture, DropVerdictIsStickyPerFlow) {
   const InspectionStats cleared = client.flow_stats();
   EXPECT_EQ(cleared.flows, 0u);
   // Rules survive a flow reset: the poisoned flow is re-matched fresh.
-  EXPECT_EQ(client.inspect(make_packet("totally harmless"), 1).verdict,
+  EXPECT_EQ(inspect_one(client, make_packet("totally harmless")).verdict,
             dp::InspectVerdict::kForward);
 }
 
 TEST_F(InspectionFixture, InspectionRequiresRules) {
   InspectionClient client(load());
-  EXPECT_THROW(client.inspect(make_packet("anything"), 1), Error);
+  EXPECT_THROW(inspect_one(client, make_packet("anything")), Error);
   RuleSet empty;
   EXPECT_THROW(client.load_rules(empty), Error);  // refuse fail-open tables
 }
@@ -548,7 +566,7 @@ TEST_F(InspectionFixture, SealedRuleProvisioning) {
   // A fresh enclave with the same measurement unseals and enforces them.
   InspectionClient restored(load());
   restored.restore_rules(sealed);
-  EXPECT_EQ(restored.inspect(make_packet("run /bin/sh"), 1).verdict,
+  EXPECT_EQ(inspect_one(restored, make_packet("run /bin/sh")).verdict,
             dp::InspectVerdict::kDrop);
 
   // A tampered blob is rejected wholesale.
@@ -557,7 +575,51 @@ TEST_F(InspectionFixture, SealedRuleProvisioning) {
   InspectionClient victim(load());
   EXPECT_THROW(victim.restore_rules(tampered), SecurityViolation);
   // ... and the victim still refuses to inspect (no rules installed).
-  EXPECT_THROW(victim.inspect(make_packet("x"), 1), Error);
+  EXPECT_THROW(inspect_one(victim, make_packet("x")), Error);
+
+  // A rule table larger than a ring slot: a switchless client loads, seals
+  // and restores it (control opcodes take a classic ECALL) and judges
+  // every frame as a sync client with the same table does.
+  RuleSet large;
+  for (std::size_t i = 0; i < 100; ++i) {
+    large.add(make_rule(numbered("rule-", i), numbered("sig-pattern-", i),
+                        i % 2 == 0 ? RuleAction::kDrop : RuleAction::kAlert));
+  }
+  ASSERT_EQ(large.encode().size(), 5080u);
+  std::vector<dp::Packet> frames;
+  for (std::size_t i = 0; i < 100; ++i) {
+    frames.push_back(make_packet(numbered("x sig-pattern-", i) + ";", 80,
+                                 0x0a000c00u + static_cast<std::uint32_t>(i)));
+  }
+  frames.push_back(make_packet("clean", 80, 0x0a000cff));
+  InspectionClient sync_client(load());
+  sync_client.load_rules(large);
+  const auto expected = inspect_all(sync_client, frames);
+  Bytes large_sealed;
+  {
+    InspectionClient loader(load(), InspectionClient::Mode::kSwitchless);
+    loader.load_rules(large);
+    large_sealed = loader.seal_rules();
+  }
+  EXPECT_GT(large_sealed.size(), sgx::kMaxHostCallPayload);
+  InspectionClient switchless(load(), InspectionClient::Mode::kSwitchless);
+  switchless.restore_rules(large_sealed);
+  const auto got = inspect_all(switchless, frames);
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(got[i].verdict, expected[i].verdict) << i;
+    EXPECT_EQ(got[i].rule, expected[i].rule) << i;
+  }
+  // Frame i carries rule i's signature, which for i >= 10 starts with the
+  // signature of rule i / 10; even rules drop, odd ones alert, and a drop
+  // outranks an alert.
+  for (std::size_t i = 0; i < 100; ++i) {
+    const bool drop = i % 2 == 0 || (i >= 10 && (i / 10) % 2 == 0);
+    EXPECT_EQ(expected[i].verdict, drop ? dp::InspectVerdict::kDrop
+                                        : dp::InspectVerdict::kAlert)
+        << i;
+  }
+  EXPECT_EQ(expected.back().verdict, dp::InspectVerdict::kForward);
 }
 
 TEST_F(InspectionFixture, BurstModesAgree) {
@@ -573,13 +635,13 @@ TEST_F(InspectionFixture, BurstModesAgree) {
   InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
   sync_client.load_rules(demo_rules());
   const sgx::EcallStats before = enclave->ecall_stats();
-  const auto sync_out = sync_client.inspect_burst(burst, 1);
+  const auto sync_out = inspect_all(sync_client, burst);
   // Sync mode pays one crossing per frame.
   EXPECT_EQ(enclave->ecall_stats().crossings - before.crossings, burst.size());
 
   InspectionClient switchless(enclave, InspectionClient::Mode::kSwitchless);
   switchless.reset_flows();
-  const auto switchless_out = switchless.inspect_burst(burst, 1);
+  const auto switchless_out = inspect_all(switchless, burst);
 
   ASSERT_EQ(sync_out.size(), burst.size());
   ASSERT_EQ(switchless_out.size(), burst.size());
@@ -600,7 +662,7 @@ TEST_F(InspectionFixture, SyncModeAcceptsFramesOfAnySize) {
   client.load_rules(demo_rules());
   std::string jumbo(3 * kMaxInlineFramePayload, 'x');
   jumbo += "/bin/sh";
-  const auto outcome = client.inspect(make_packet(jumbo), 1);
+  const auto outcome = inspect_one(client, make_packet(jumbo));
   EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kDrop);
   EXPECT_EQ(outcome.rule, "exploit-shell");
 }
@@ -619,11 +681,11 @@ TEST_F(InspectionFixture, SwitchlessFailedBurstsDoNotLeakRingSlots) {
   // deadlocks in submit backpressure. Four rounds cross that threshold
   // with margin — this test hangs if the error path stops draining.
   for (int round = 0; round < 4; ++round) {
-    EXPECT_THROW(client.inspect_burst(burst, 1), Error);
+    EXPECT_THROW(inspect_all(client, burst), Error);
   }
   // The ring is still fully usable: provision rules and inspect cleanly.
   client.load_rules(demo_rules());
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto outcomes = inspect_all(client, burst);
   ASSERT_EQ(outcomes.size(), burst.size());
   for (const auto& outcome : outcomes) {
     EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kForward);
@@ -641,25 +703,54 @@ TEST_F(InspectionFixture, SwitchFailsClosedWithoutInspector) {
   punt.action = dp::Action::inspect(2);
   sw.add_flow(punt);
 
+  ASSERT_FALSE(sw.has_burst_inspector());
   const auto result = sw.process(make_packet("anything"), 1);
   EXPECT_EQ(result.kind, dp::ForwardingResult::Kind::kDropped);
   EXPECT_TRUE(result.inspected);
   EXPECT_EQ(result.verdict, dp::InspectVerdict::kDrop);
   EXPECT_EQ(result.inspect_rule, "no-inspector");
+
+  const std::vector<dp::Packet> burst(3, make_packet("anything"));
+  for (const auto& r : sw.process_burst(burst, 1)) {
+    EXPECT_EQ(r.kind, dp::ForwardingResult::Kind::kDropped);
+    EXPECT_EQ(r.inspect_rule, "no-inspector");
+  }
 }
 
 TEST_F(InspectionFixture, SwitchFailsClosedOnInspectorError) {
-  InspectionClient client(load());  // no rules loaded: inspect() throws
-  dp::Switch sw(1);
-  sw.set_inspector(client.as_inspector());
-  dp::FlowEntry punt;
-  punt.name = "punt";
-  punt.action = dp::Action::inspect(2);
-  sw.add_flow(punt);
+  InspectionClient client(load());  // no rules loaded: inspect_burst throws
+  const auto forward_n = [](std::size_t n) {
+    return [n](std::span<const dp::Packet* const>, std::uint16_t) {
+      return std::vector<dp::InspectionOutcome>(n);  // all kForward
+    };
+  };
+  const std::vector<std::pair<const char*, dp::BurstInspectorFn>> hooks = {
+      {"enclave without rules", client.as_burst_inspector()},
+      {"throwing hook",
+       [](std::span<const dp::Packet* const>,
+          std::uint16_t) -> std::vector<dp::InspectionOutcome> {
+         throw Error("hook failed");
+       }},
+      // A miscounting hook fails closed even when every verdict it does
+      // return says forward.
+      {"no verdicts", forward_n(0)},
+      {"two verdicts for one frame", forward_n(2)},
+  };
+  for (const auto& [what, hook] : hooks) {
+    dp::Switch sw(1);
+    sw.set_burst_inspector(hook);
+    dp::FlowEntry punt;
+    punt.name = "punt";
+    punt.action = dp::Action::inspect(2);
+    sw.add_flow(punt);
 
-  const auto result = sw.process(make_packet("anything"), 1);
-  EXPECT_EQ(result.kind, dp::ForwardingResult::Kind::kDropped);
-  EXPECT_NE(result.inspect_rule.find("inspector-error"), std::string::npos);
+    const auto result = sw.process(make_packet("anything"), 1);
+    EXPECT_EQ(result.kind, dp::ForwardingResult::Kind::kDropped) << what;
+    EXPECT_TRUE(result.inspected) << what;
+    EXPECT_EQ(result.verdict, dp::InspectVerdict::kDrop) << what;
+    EXPECT_NE(result.inspect_rule.find("inspector-error"), std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(InspectionFixture, PuntPathThroughFabric) {
@@ -670,7 +761,7 @@ TEST_F(InspectionFixture, PuntPathThroughFabric) {
   auto& edge = fabric.add_switch(1);
   auto& core = fabric.add_switch(2);
   fabric.link({1, 2}, {2, 1});
-  edge.set_inspector(client.as_inspector());
+  edge.set_burst_inspector(client.as_burst_inspector());
 
   dp::FlowEntry punt;
   punt.name = "inspect-then-core";
@@ -708,7 +799,7 @@ TEST_F(InspectionFixture, SwitchlessInspectorOnThePuntPath) {
   client.load_rules(demo_rules());
 
   dp::Switch sw(1);
-  sw.set_inspector(client.as_inspector());
+  sw.set_burst_inspector(client.as_burst_inspector());
   dp::FlowEntry punt;
   punt.name = "punt";
   punt.action = dp::Action::inspect(4);
@@ -738,7 +829,7 @@ TEST_F(InspectionFixture, SwitchlessMatchesSyncAcrossRings) {
 
   InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
   sync_client.load_rules(demo_rules());
-  const auto sync_out = sync_client.inspect_burst(burst, 1);
+  const auto sync_out = inspect_all(sync_client, burst);
 
   InspectionClient::Options options;
   options.mode = InspectionClient::Mode::kSwitchless;
@@ -746,7 +837,7 @@ TEST_F(InspectionFixture, SwitchlessMatchesSyncAcrossRings) {
   InspectionClient switchless(enclave, options);
   ASSERT_EQ(switchless.rings(), 2u);
   switchless.reset_flows();
-  const auto switchless_out = switchless.inspect_burst(burst, 1);
+  const auto switchless_out = inspect_all(switchless, burst);
 
   ASSERT_EQ(switchless_out.size(), burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i) {
@@ -794,8 +885,8 @@ TEST_F(InspectionFixture, FlowSteeringKeepsStickyDropsInBurstOrder) {
         burst.push_back(make_packet(filler(16 + below(600)), 80, clean_ip));
       }
     }
-    const auto expected = sync_client.inspect_burst(burst, 1);
-    const auto got = switchless.inspect_burst(burst, 1);
+    const auto expected = inspect_all(sync_client, burst);
+    const auto got = inspect_all(switchless, burst);
     bool same = got.size() == expected.size();
     for (std::size_t i = 0; same && i < got.size(); ++i) {
       same = got[i].verdict == expected[i].verdict &&
@@ -807,10 +898,11 @@ TEST_F(InspectionFixture, FlowSteeringKeepsStickyDropsInBurstOrder) {
 }
 
 TEST_F(InspectionFixture, SwitchlessBurstRecordsOneBurstSample) {
-  InspectionClient client(load(), InspectionClient::Mode::kSwitchless);
+  auto enclave = load();
+  InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
   client.load_rules(demo_rules());
   const obs::Histogram& frames = obs::registry().histogram(
-      "vnfsgx_inspection_latency_us", {{"mode", "switchless"}});
+      "vnfsgx_inspection_latency_us", {{"mode", "sync"}});
   const obs::Histogram& bursts = obs::registry().histogram(
       "vnfsgx_inspection_burst_us", {{"mode", "switchless"}});
   const std::uint64_t frames_before = frames.count();
@@ -821,38 +913,97 @@ TEST_F(InspectionFixture, SwitchlessBurstRecordsOneBurstSample) {
     burst.push_back(make_packet("frame " + std::to_string(i), 80,
                                 0x0a000700 + i));
   }
-  ASSERT_EQ(client.inspect_burst(burst, 1).size(), burst.size());
+  ASSERT_EQ(inspect_all(client, burst).size(), burst.size());
   // One burst is one sample: no per-frame averages are invented.
   EXPECT_EQ(frames.count() - frames_before, 0u);
   EXPECT_EQ(bursts.count() - bursts_before, 1u);
 
-  // A single-frame inspection is a real per-frame sample.
-  client.inspect(make_packet("one frame"), 1);
-  EXPECT_EQ(frames.count() - frames_before, 1u);
-  EXPECT_EQ(bursts.count() - bursts_before, 1u);
+  // A burst of one frame is still one burst sample and no frame sample.
+  inspect_one(client, make_packet("one frame"));
+  EXPECT_EQ(frames.count() - frames_before, 0u);
+  EXPECT_EQ(bursts.count() - bursts_before, 2u);
+
+  // Sync mode: one per-frame sample per ECALL, plus one burst sample.
+  InspectionClient sync_client(enclave);
+  const obs::Histogram& sync_bursts = obs::registry().histogram(
+      "vnfsgx_inspection_burst_us", {{"mode", "sync"}});
+  const std::uint64_t sync_bursts_before = sync_bursts.count();
+  ASSERT_EQ(inspect_all(sync_client, burst).size(), burst.size());
+  EXPECT_EQ(frames.count() - frames_before, burst.size());
+  EXPECT_EQ(sync_bursts.count() - sync_bursts_before, 1u);
+  EXPECT_EQ(bursts.count() - bursts_before, 2u);
 }
 
-TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
+TEST_F(InspectionFixture, PoisonedFlowStaysOnOneRing) {
   auto enclave = load();
   InspectionClient::Options options;
   options.mode = InspectionClient::Mode::kSwitchless;
   options.rings = 2;
   InspectionClient client(enclave, options);
   client.load_rules(demo_rules());
+  // Slots published into each ring since the last call.
+  std::array<std::uint64_t, 2> seen{};
+  const auto submits_delta = [&seen] {
+    std::array<std::uint64_t, 2> delta{};
+    for (std::size_t r = 0; r < 2; ++r) {
+      const std::uint64_t now =
+          obs::registry()
+              .counter("vnfsgx_hostcall_submits_total",
+                       {{"ring", numbered("inspection/", r)}})
+              .value();
+      delta[r] = now - seen[r];
+      seen[r] = now;
+    }
+    return delta;
+  };
+  submits_delta();
 
-  // Poison the flow, then stripe clean same-flow frames across both rings:
-  // both resident workers must see the poisoned entry (the flow shards are
-  // shared enclave state, not per-ring state).
-  EXPECT_EQ(client.inspect(make_packet("run /bin/sh"), 1).verdict,
+  // Poison the flow: its first frame goes to the flow's ring.
+  const dp::Packet poisoned = make_packet("totally harmless");
+  EXPECT_EQ(inspect_one(client, make_packet("run /bin/sh")).verdict,
             dp::InspectVerdict::kDrop);
-  std::vector<dp::Packet> burst(8, make_packet("totally harmless"));
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto first = submits_delta();
+  ASSERT_EQ(first[0] + first[1], 1u);
+  const std::size_t home = first[0] == 1 ? 0 : 1;
+
+  // Every later frame of the flow runs on that ring and is a cached drop.
+  const std::vector<dp::Packet> burst(8, poisoned);
+  const auto outcomes = inspect_all(client, burst);
   ASSERT_EQ(outcomes.size(), burst.size());
   for (const auto& outcome : outcomes) {
     EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kDrop);
     EXPECT_EQ(outcome.rule, "exploit-shell");
   }
+  auto delta = submits_delta();
+  EXPECT_GE(delta[home], 1u);
+  EXPECT_EQ(delta[1 - home], 0u);
   EXPECT_GE(client.flow_stats().cache_hits, 8u);
+
+  // A clean flow steered to the other ring forwards, and a burst mixing
+  // both flows keeps each on its own ring.
+  std::optional<dp::Packet> clean;
+  for (std::uint32_t ip = 0x0a000d00; !clean && ip < 0x0a000d40; ++ip) {
+    dp::Packet candidate = make_packet("totally harmless", 80, ip);
+    EXPECT_EQ(inspect_one(client, candidate).verdict,
+              dp::InspectVerdict::kForward);
+    if (submits_delta()[1 - home] == 1) clean = std::move(candidate);
+  }
+  ASSERT_TRUE(clean.has_value());
+  std::vector<dp::Packet> mixed;
+  for (int i = 0; i < 4; ++i) {
+    mixed.push_back(poisoned);
+    mixed.push_back(*clean);
+  }
+  const auto mixed_out = inspect_all(client, mixed);
+  ASSERT_EQ(mixed_out.size(), mixed.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_EQ(mixed_out[i].verdict, i % 2 == 0 ? dp::InspectVerdict::kDrop
+                                               : dp::InspectVerdict::kForward)
+        << i;
+  }
+  delta = submits_delta();
+  EXPECT_EQ(delta[home], 1u);
+  EXPECT_EQ(delta[1 - home], 1u);
 }
 
 TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
@@ -863,11 +1014,11 @@ TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
   // One byte past the inline-descriptor limit: rejected at the untrusted
   // gate before any slot is claimed.
   const std::string big(kMaxInlineFramePayload + 1, 'x');
-  EXPECT_THROW(client.inspect(make_packet(big, 80, 0x0a00aa01), 1), Error);
+  EXPECT_THROW(inspect_one(client, make_packet(big, 80, 0x0a00aa01)), Error);
 
   // Through the switch the same rejection fails closed, never open.
   dp::Switch sw(1);
-  sw.set_inspector(client.as_inspector());
+  sw.set_burst_inspector(client.as_burst_inspector());
   dp::FlowEntry punt;
   punt.name = "punt";
   punt.action = dp::Action::inspect(4);
@@ -878,7 +1029,7 @@ TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
 
   // The limit itself is inclusive and the ring was not damaged.
   const std::string max(kMaxInlineFramePayload, 'x');
-  EXPECT_EQ(client.inspect(make_packet(max, 80, 0x0a00aa03), 1).verdict,
+  EXPECT_EQ(inspect_one(client, make_packet(max, 80, 0x0a00aa03)).verdict,
             dp::InspectVerdict::kForward);
 }
 
@@ -928,7 +1079,7 @@ TEST_F(InspectionFixture, FullSlotOfLongestNameVerdictsFits) {
   InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
   client.load_rules(rules);
   const std::uint64_t jobs_before = switchless_jobs(*enclave);
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto outcomes = inspect_all(client, burst);
   EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 1u);  // one full slot
   ASSERT_EQ(outcomes.size(), kMaxFramesPerSlot);
   for (const auto& outcome : outcomes) {
@@ -941,7 +1092,7 @@ TEST_F(InspectionFixture, FullSlotOfLongestNameVerdictsFits) {
   std::vector<dp::Packet> tiny(kMaxFramesPerSlot + 1,
                                make_packet("ZZ", 80, 0x0a0008ff));
   const std::uint64_t jobs_mid = switchless_jobs(*enclave);
-  const auto tiny_outcomes = client.inspect_burst(tiny, 1);
+  const auto tiny_outcomes = inspect_all(client, tiny);
   EXPECT_EQ(switchless_jobs(*enclave) - jobs_mid, 2u);
   ASSERT_EQ(tiny_outcomes.size(), tiny.size());
   for (const auto& outcome : tiny_outcomes) {
@@ -1019,8 +1170,8 @@ TEST_F(InspectionFixture, PackedSlotsMatchSyncOnImixBursts) {
         burst.push_back(make_packet(payload, flow % 2 ? 80 : 8080,
                                     0x0a010000u + flow));
       }
-      const auto expected = sync_client.inspect_burst(burst, 1);
-      const auto got = switchless.inspect_burst(burst, 1);
+      const auto expected = inspect_all(sync_client, burst);
+      const auto got = inspect_all(switchless, burst);
       bool same = got.size() == expected.size();
       for (std::size_t i = 0; same && i < got.size(); ++i) {
         same = got[i].verdict == expected[i].verdict &&
@@ -1057,7 +1208,7 @@ TEST_F(InspectionFixture, SlotFillingFramesTravelAlone) {
       0x0a000904));
   burst.push_back(make_packet(std::string(64, 'e'), 80, 0x0a000905));
   const std::uint64_t jobs_before = switchless_jobs(*enclave);
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto outcomes = inspect_all(client, burst);
   EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 4u);
   ASSERT_EQ(outcomes.size(), burst.size());
   const std::array<dp::InspectVerdict, 5> expected = {
@@ -1086,7 +1237,7 @@ TEST_F(InspectionFixture, CachedDropWithinOneSlot) {
       make_packet("also harmless", 80, 0x0a000a01)};
   const InspectionStats before = client.flow_stats();
   const std::uint64_t jobs_before = switchless_jobs(*enclave);
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto outcomes = inspect_all(client, burst);
   EXPECT_EQ(switchless_jobs(*enclave) - jobs_before, 1u);
   ASSERT_EQ(outcomes.size(), 4u);
   for (const std::size_t i : {0u, 1u, 3u}) {
@@ -1125,11 +1276,11 @@ TEST_F(InspectionFixture, OversizedFrameMidBurstFreesEverySlot) {
   burst[25] = make_packet(std::string(kMaxInlineFramePayload + 1, 'x'), 80,
                           0x0a000b99);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(client.inspect_burst(burst, 1), Error);
+    EXPECT_THROW(inspect_all(client, burst), Error);
     EXPECT_EQ(occupancy(), 0);
   }
   burst[25] = make_packet("run /bin/sh", 80, 0x0a000b99);
-  const auto outcomes = client.inspect_burst(burst, 1);
+  const auto outcomes = inspect_all(client, burst);
   ASSERT_EQ(outcomes.size(), burst.size());
   EXPECT_EQ(outcomes[25].verdict, dp::InspectVerdict::kDrop);
   EXPECT_EQ(occupancy(), 0);
@@ -1147,20 +1298,20 @@ TEST_F(InspectionFixture, FlowTableCountsDistinctTuplesThroughTheEnclave) {
       burst[i].src_ip = 0x0b000000u + base + i;
       burst[i].src_port = static_cast<std::uint16_t>(i);
     }
-    ASSERT_EQ(client.inspect_burst(burst, 1).size(), burst.size());
+    ASSERT_EQ(inspect_all(client, burst).size(), burst.size());
   }
   const std::uint64_t sent = (kFlows + 63) / 64 * 64;
   InspectionStats stats = client.flow_stats();
   EXPECT_EQ(stats.flows, sent);
   EXPECT_EQ(stats.inspected, sent);
-  client.inspect_burst(burst, 1);  // the last 64 flows again
+  inspect_all(client, burst);  // the last 64 flows again
   stats = client.flow_stats();
   EXPECT_EQ(stats.flows, sent);
   EXPECT_EQ(stats.inspected, sent + 64);
 
   client.reset_flows();
   EXPECT_EQ(client.flow_stats().flows, 0u);
-  client.inspect_burst(burst, 1);
+  inspect_all(client, burst);
   EXPECT_EQ(client.flow_stats().flows, 64u);
 }
 
@@ -1178,8 +1329,13 @@ TEST_F(InspectionFixture, ProcessBurstPuntsOncePerBurst) {
   client.load_rules(demo_rules());
 
   dp::Switch sw(1);
-  sw.set_inspector(client.as_inspector());
-  sw.set_burst_inspector(client.as_burst_inspector());
+  std::size_t hook_calls = 0;
+  const dp::BurstInspectorFn inner = client.as_burst_inspector();
+  sw.set_burst_inspector([&](std::span<const dp::Packet* const> frames,
+                             std::uint16_t in_port) {
+    ++hook_calls;
+    return inner(frames, in_port);
+  });
   ASSERT_TRUE(sw.has_burst_inspector());
   dp::FlowEntry punt;
   punt.name = "punt";
@@ -1225,30 +1381,50 @@ TEST_F(InspectionFixture, ProcessBurstPuntsOncePerBurst) {
     }
     EXPECT_TRUE(results[i].inspected) << i;
   }
+  EXPECT_EQ(hook_calls, 1u);
   // Every alert verdict surfaced a packet-in, exactly as process() does.
   EXPECT_EQ(sw.packet_in_queue().size(), alerts_before + 4);
 }
 
-TEST_F(InspectionFixture, ProcessBurstFallsBackToPerPacketInspector) {
+TEST_F(InspectionFixture, ProcessIsABurstOfOne) {
   InspectionClient client(load());
   client.load_rules(demo_rules());
 
   dp::Switch sw(1);
-  sw.set_inspector(client.as_inspector());  // no burst inspector bound
-  ASSERT_FALSE(sw.has_burst_inspector());
+  std::vector<std::size_t> punted;  // frames per hook call
+  const dp::BurstInspectorFn inner = client.as_burst_inspector();
+  sw.set_burst_inspector([&](std::span<const dp::Packet* const> frames,
+                             std::uint16_t in_port) {
+    punted.push_back(frames.size());
+    return inner(frames, in_port);
+  });
   dp::FlowEntry punt;
   punt.name = "punt";
   punt.action = dp::Action::inspect(4);
   sw.add_flow(punt);
+  dp::FlowEntry telnet;
+  telnet.name = "telnet";
+  telnet.priority = 10;
+  telnet.match.dst_port = 23;
+  telnet.action = dp::Action::forward(5);
+  sw.add_flow(telnet);
 
-  std::vector<dp::Packet> burst;
-  burst.push_back(make_packet("clean", 80, 0x0a000500));
-  burst.push_back(make_packet("run /bin/sh", 80, 0x0a000501));
-  const auto results = sw.process_burst(burst, 1);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].kind, dp::ForwardingResult::Kind::kForwarded);
-  EXPECT_EQ(results[1].kind, dp::ForwardingResult::Kind::kDropped);
-  EXPECT_EQ(results[1].inspect_rule, "exploit-shell");
+  const auto clean = sw.process(make_packet("clean", 80, 0x0a000500), 1);
+  EXPECT_EQ(clean.kind, dp::ForwardingResult::Kind::kForwarded);
+  EXPECT_EQ(clean.out_port, 4);
+  EXPECT_TRUE(clean.inspected);
+  const auto bad = sw.process(make_packet("run /bin/sh", 80, 0x0a000501), 1);
+  EXPECT_EQ(bad.kind, dp::ForwardingResult::Kind::kDropped);
+  EXPECT_EQ(bad.inspect_rule, "exploit-shell");
+  EXPECT_EQ(punted, (std::vector<std::size_t>{1, 1}));
+
+  // A packet no punt flow takes never reaches the hook.
+  const auto direct =
+      sw.process(make_packet("login: admin admin", 23, 0x0a000502), 1);
+  EXPECT_EQ(direct.kind, dp::ForwardingResult::Kind::kForwarded);
+  EXPECT_EQ(direct.out_port, 5);
+  EXPECT_FALSE(direct.inspected);
+  EXPECT_EQ(punted.size(), 2u);
 }
 
 TEST_F(InspectionFixture, ProcessBurstFailsClosedAsAUnit) {

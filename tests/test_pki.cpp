@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/sim_clock.h"
 #include "crypto/random.h"
@@ -124,6 +125,34 @@ TEST_F(PkiFixture, SerialsAreUnique) {
   const auto c2 = ca_.issue({"b", ""}, key.public_key, 1);
   EXPECT_NE(c1.serial, c2.serial);
   EXPECT_EQ(ca_.issued_count(), 2u);
+}
+
+TEST_F(PkiFixture, ConcurrentIssuanceGivesDistinctSerials) {
+  // issue() takes no lock: each serial is one atomic increment from 2 (the
+  // root holds 1), so concurrent issuers get distinct, dense serials.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 250;
+  const auto key = crypto::ed25519_generate(rng_);
+  std::vector<std::vector<std::uint64_t>> serials(kThreads);
+  std::vector<std::thread> issuers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    issuers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        serials[t].push_back(ca_.issue({"vnf", ""}, key.public_key, 1).serial);
+      }
+    });
+  }
+  for (auto& issuer : issuers) issuer.join();
+  std::vector<std::uint64_t> all;
+  for (const auto& mine : serials) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), kThreads * kPerThread);
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.front(), 2u);
+  EXPECT_EQ(all.back(), 1 + kThreads * kPerThread);
+  EXPECT_EQ(ca_.issued_count(), kThreads * kPerThread);
 }
 
 TEST_F(PkiFixture, TrustStoreAcceptsValidLeaf) {

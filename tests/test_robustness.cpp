@@ -452,10 +452,13 @@ TEST_F(RobustnessFixture, RetiredInspectOpcodeFailsClosed) {
   // A punt hook still speaking the retired opcode fails closed at the
   // switch: the frame drops, it never forwards uninspected.
   dataplane::Switch sw(1);
-  sw.set_inspector([&](const dataplane::Packet& packet, std::uint16_t) {
-    enclave->call(kRetiredInspectOpcode, packet.payload);
-    return dataplane::InspectionOutcome{};
-  });
+  sw.set_burst_inspector(
+      [&](std::span<const dataplane::Packet* const> packets, std::uint16_t) {
+        for (const dataplane::Packet* packet : packets) {
+          enclave->call(kRetiredInspectOpcode, packet->payload);
+        }
+        return std::vector<dataplane::InspectionOutcome>(packets.size());
+      });
   dataplane::FlowEntry punt;
   punt.name = "punt";
   punt.action = dataplane::Action::inspect(2);
