@@ -131,6 +131,48 @@ void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify);
 
+// A trust anchor's verification key with its fixed-base table built: two
+// fixed-base passes instead of the Straus doubling chain.
+void BM_Ed25519VerifyKnownKey(benchmark::State& state) {
+  DeterministicRandom rng(7);
+  const auto kp = ed25519_generate(rng);
+  const Bytes msg = rng.bytes(256);
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
+  const Ed25519VerifyKey key(kp.public_key);
+  for (int i = 0; i < 2; ++i) key.verify(msg, ByteView(sig.data(), sig.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.verify(msg, ByteView(sig.data(), sig.size())));
+  }
+}
+BENCHMARK(BM_Ed25519VerifyKnownKey);
+
+// One SHA-512 digest reduced mod L (twice per signature, once per
+// verification).
+void BM_ScalarReduceWide(benchmark::State& state) {
+  DeterministicRandom rng(9);
+  std::array<std::uint8_t, 64> wide;
+  rng.fill(wide);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::scalar_reduce_wide(wide));
+    wide[0] ^= 1;
+  }
+}
+BENCHMARK(BM_ScalarReduceWide);
+
+// s = (k·a + r) mod L, once per signature.
+void BM_ScalarMulAdd(benchmark::State& state) {
+  DeterministicRandom rng(10);
+  std::array<std::uint8_t, 32> a, b, c;
+  rng.fill(a);
+  rng.fill(b);
+  rng.fill(c);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::scalar_mul_add(a, b, c));
+    c[0] ^= 1;
+  }
+}
+BENCHMARK(BM_ScalarMulAdd);
+
 void BM_HkdfExpandLabel(benchmark::State& state) {
   DeterministicRandom rng(8);
   const Bytes secret = rng.bytes(32);

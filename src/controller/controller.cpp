@@ -70,8 +70,41 @@ std::string to_string(SecurityMode mode) {
   return "?";
 }
 
+namespace {
+
+// The methods the router serves, each with a cached request counter.
+constexpr std::array<const char*, 4> kMethods = {"GET", "POST", "PUT",
+                                                 "DELETE"};
+
+obs::Counter& requests_total(SecurityMode mode, const std::string& method) {
+  return obs::registry().counter(
+      "vnfsgx_controller_requests_total",
+      {{"mode", to_string(mode)}, {"method", method}},
+      "REST requests served, by controller security mode");
+}
+
+obs::Counter& enrollments_total(const char* result) {
+  return obs::registry().counter(
+      "vnfsgx_ratls_enrollments_total", {{"result", result}},
+      "First-contact RA-TLS enrollments at the controller");
+}
+
+}  // namespace
+
 Controller::Controller(ControllerConfig config, dataplane::Fabric& fabric)
     : config_(std::move(config)), fabric_(fabric) {
+  const std::string mode = to_string(config_.mode);
+  request_duration_ = &obs::registry().histogram(
+      "vnfsgx_controller_request_duration_us", {{"mode", mode}}, {},
+      "Controller REST handler latency, by security mode");
+  auth_failures_ = &obs::registry().counter(
+      "vnfsgx_controller_auth_failures_total", {{"mode", mode}},
+      "Write requests refused for missing client identity");
+  enrollments_ok_ = &enrollments_total("ok");
+  enrollments_rejected_ = &enrollments_total("rejected");
+  for (std::size_t i = 0; i < kMethods.size(); ++i) {
+    requests_by_method_[i] = &requests_total(config_.mode, kMethods[i]);
+  }
   if (config_.mode != SecurityMode::kHttp) {
     if (!config_.certificate || !config_.signer || !config_.clock ||
         !config_.rng) {
@@ -177,21 +210,18 @@ bool Controller::authorize_write(const http::RequestContext& ctx) const {
 void Controller::audit(const http::RequestContext& ctx,
                        const http::Request& req, int status) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs::registry()
-      .counter("vnfsgx_controller_requests_total",
-               {{"mode", to_string(config_.mode)}, {"method", req.method}},
-               "REST requests served, by controller security mode")
-      .add();
-  if (status == 403) {
-    obs::registry()
-        .counter("vnfsgx_controller_auth_failures_total",
-                 {{"mode", to_string(config_.mode)}},
-                 "Write requests refused for missing client identity")
-        .add();
-  }
+  request_counter(req.method).add();
+  if (status == 403) auth_failures_->add();
   const std::lock_guard<std::mutex> lock(mutex_);
   audit_log_.push_back(AuditRecord{ctx.client_identity, req.method,
                                    req.path(), status});
+}
+
+obs::Counter& Controller::request_counter(const std::string& method) const {
+  for (std::size_t i = 0; i < kMethods.size(); ++i) {
+    if (method == kMethods[i]) return *requests_by_method_[i];
+  }
+  return requests_total(config_.mode, method);  // a method no route serves
 }
 
 std::vector<AuditRecord> Controller::audit_log() const {
@@ -210,10 +240,6 @@ void Controller::build_router() {
   const auto traced = [this](http::Handler h) -> http::Handler {
     return [this, h = std::move(h)](const http::Request& r,
                                     const http::RequestContext& c) {
-      obs::Histogram& duration = obs::registry().histogram(
-          "vnfsgx_controller_request_duration_us",
-          {{"mode", to_string(config_.mode)}}, {},
-          "Controller REST handler latency, by security mode");
       obs::Span span =
           obs::tracer().start_span("rest_request", obs::kStepSecureChannel);
       span.annotate("method", r.method);
@@ -221,7 +247,7 @@ void Controller::build_router() {
       const http::Response res = h(r, c);
       span.annotate("status", std::to_string(res.status));
       span.end();
-      duration.observe(span.elapsed_us());
+      request_duration_->observe(span.elapsed_us());
       return res;
     };
   };
@@ -396,11 +422,7 @@ http::Response Controller::handle_enroll(const http::Request& req,
   } else {
     res = http::Response::error(403, "attested client certificate required");
   }
-  obs::registry()
-      .counter("vnfsgx_ratls_enrollments_total",
-               {{"result", accepted ? "ok" : "rejected"}},
-               "First-contact RA-TLS enrollments at the controller")
-      .add();
+  (accepted ? enrollments_ok_ : enrollments_rejected_)->add();
   audit(ctx, req, res.status);
   return res;
 }

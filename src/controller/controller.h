@@ -10,6 +10,7 @@
 // its keystore — the §3 key-management insight.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <optional>
@@ -23,6 +24,11 @@
 #include "http/server.h"
 #include "pki/truststore.h"
 #include "tls/session.h"
+
+namespace vnfsgx::obs {
+class Counter;
+class Histogram;
+}  // namespace vnfsgx::obs
 
 namespace vnfsgx::controller {
 
@@ -131,6 +137,7 @@ class Controller {
                                const http::RequestContext&);
   void audit(const http::RequestContext& ctx, const http::Request& req,
              int status);
+  obs::Counter& request_counter(const std::string& method) const;
   bool authorize_write(const http::RequestContext& ctx) const;
 
   ControllerConfig config_;
@@ -147,6 +154,13 @@ class Controller {
   std::vector<std::string> enrolled_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  // Instruments registered once at construction (the mode never changes),
+  // so serving a request looks nothing up in the metrics registry.
+  obs::Histogram* request_duration_ = nullptr;
+  obs::Counter* auth_failures_ = nullptr;
+  obs::Counter* enrollments_ok_ = nullptr;
+  obs::Counter* enrollments_rejected_ = nullptr;
+  std::array<obs::Counter*, 4> requests_by_method_{};  // see kMethods
 };
 
 }  // namespace vnfsgx::controller

@@ -117,7 +117,7 @@ HostAttestation VerificationManager::attest_host_impl(net::Stream& channel,
   // authenticated TPM quote and cross-check the IML aggregate against
   // PCR 10. A root attacker who sanitized the IML before the enclave bound
   // it produces an aggregate that no longer matches the hardware PCR.
-  std::optional<crypto::Ed25519PublicKey> aik;
+  std::optional<crypto::Ed25519VerifyKey> aik;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     const auto it = platform_aiks_.find(result.platform_id);
@@ -443,7 +443,7 @@ std::optional<pki::Certificate> VerificationManager::enroll_vnf_impl(
 void VerificationManager::enroll_platform_aik(
     const sgx::PlatformId& platform_id, const crypto::Ed25519PublicKey& aik) {
   const std::lock_guard<std::shared_mutex> lock(mutex_);
-  platform_aiks_[platform_id] = aik;
+  platform_aiks_.insert_or_assign(platform_id, crypto::Ed25519VerifyKey(aik));
 }
 
 pki::RevocationList VerificationManager::revoke_certificate(

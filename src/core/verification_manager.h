@@ -164,7 +164,7 @@ class VerificationManager {
   // changes take the exclusive side.
   mutable std::shared_mutex mutex_;
   std::set<sgx::PlatformId> trusted_platforms_;
-  std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platform_aiks_;
+  std::map<sgx::PlatformId, crypto::Ed25519VerifyKey> platform_aiks_;
   struct AttestedVnf {
     crypto::Ed25519PublicKey public_key{};
     sgx::PlatformId platform_id{};

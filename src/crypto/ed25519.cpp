@@ -1,6 +1,9 @@
 #include "crypto/ed25519.h"
 
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/error.h"
@@ -13,119 +16,133 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar arithmetic modulo the group order
-//   L = 2^252 + 27742317777372353535851937790883648493.
-// Little-endian 32-bit limbs; sized for 512-bit intermediates so that the
-// SHA-512 outputs RFC 8032 reduces can be handled directly. Performance is
-// irrelevant next to the point multiplications, so the reduction is a plain
-// binary long division.
+//   L = 2^252 + δ, δ = 27742317777372353535851937790883648493,
+// in the shape of ref10's sc_reduce/sc_muladd: signed radix-2^21 limbs in
+// int64_t, limb i weighted 2^(21·i). Since 2^252 = 2^(21·12) ≡ −δ (mod L)
+// and −δ has the signed radix-2^21 digits kFold, a limb at position i ≥ 12
+// folds into positions i−12 .. i−7. The fold and carry schedule is ref10's,
+// which keeps every intermediate inside int64_t and ends fully reduced.
+// Loop bounds are fixed and nothing branches on or indexes by limb values,
+// so both operations are constant-time; neither allocates.
 // ---------------------------------------------------------------------------
 
-struct Scalar {
-  // 9 limbs so intermediates during reduction (2*r + bit) fit.
-  std::array<std::uint32_t, 9> limb{};
-};
+using ScalarBytes = std::array<std::uint8_t, 32>;
 
-const std::array<std::uint32_t, 9>& order_limbs() {
-  // L little-endian: 0xED, 0xD3, 0xF5, 0x5C, 0x1A, 0x63, 0x12, 0x58,
-  // 0xD6, 0x9C, 0xF7, 0xA2, 0xDE, 0xF9, 0xDE, 0x14, 0,...,0, 0x10
-  static const std::array<std::uint32_t, 9> kL = {
-      0x5cf5d3edu, 0x5812631au, 0xa2f79cd6u, 0x14def9deu,
-      0x00000000u, 0x00000000u, 0x00000000u, 0x10000000u, 0u};
-  return kL;
+constexpr std::int64_t kFold[6] = {666643, 470296, 654183,
+                                   -997805, 136657, -683901};
+constexpr std::int64_t kLimbBase = std::int64_t{1} << 21;
+
+// L little-endian.
+constexpr ScalarBytes kOrder = {
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+    0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+    0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+
+// Bits [21·i, 21·i + 21) of a little-endian string; the top limb (`rest`)
+// keeps every bit from 21·i up to the end of its 4-byte window instead.
+std::int64_t load_limb(const std::uint8_t* in, int i, bool rest) {
+  const int bit = 21 * i;
+  const std::uint8_t* p = in + bit / 8;
+  const std::uint64_t word = static_cast<std::uint64_t>(p[0]) |
+                             static_cast<std::uint64_t>(p[1]) << 8 |
+                             static_cast<std::uint64_t>(p[2]) << 16 |
+                             static_cast<std::uint64_t>(p[3]) << 24;
+  const std::uint64_t v = word >> (bit % 8);
+  return static_cast<std::int64_t>(rest ? v : v & (kLimbBase - 1));
 }
 
-// Compare a (9 limbs) with L.
-int cmp_order(const Scalar& a) {
-  const auto& l = order_limbs();
-  for (int i = 8; i >= 0; --i) {
-    // ct-ok: early-exit compare leaks only which limb first differs from
-    // the fixed public constant L; accepted for the software simulator
-    // (docs/SECURITY.md, "Constant-time policy").
-    if (a.limb[static_cast<std::size_t>(i)] != l[static_cast<std::size_t>(i)]) {
-      return a.limb[static_cast<std::size_t>(i)] < l[static_cast<std::size_t>(i)]
-                 ? -1
-                 : 1;
+// s[i]·2^(21·i) ≡ Σ_j kFold[j]·s[i]·2^(21·(i−12+j)) (mod L).
+void fold(std::int64_t* s, int i) {
+  for (int j = 0; j < 6; ++j) s[i - 12 + j] += s[i] * kFold[j];
+  s[i] = 0;
+}
+
+// Rounded carry out of limb i: leaves it in [−2^20, 2^20).
+void carry_rounded(std::int64_t* s, int i) {
+  const std::int64_t c = (s[i] + (kLimbBase >> 1)) >> 21;
+  s[i + 1] += c;
+  s[i] -= c * kLimbBase;
+}
+
+// Floor carry out of limb i: leaves it in [0, 2^21).
+void carry_floor(std::int64_t* s, int i) {
+  const std::int64_t c = s[i] >> 21;
+  s[i + 1] += c;
+  s[i] -= c * kLimbBase;
+}
+
+// Rounded carries out of limbs first, first + 2, ..., last.
+void carry_alternate(std::int64_t* s, int first, int last) {
+  for (int i = first; i <= last; i += 2) carry_rounded(s, i);
+}
+
+// ref10's reduction of 24 limbs (limbs 0..22 within a few bits of 2^21)
+// to the canonical 32-byte encoding of the value mod L.
+ScalarBytes reduce_limbs(std::int64_t* s) {
+  for (int i = 23; i >= 18; --i) fold(s, i);
+  carry_alternate(s, 6, 16);
+  carry_alternate(s, 7, 15);
+  for (int i = 17; i >= 12; --i) fold(s, i);
+  carry_alternate(s, 0, 10);
+  carry_alternate(s, 1, 11);
+  fold(s, 12);
+  for (int i = 0; i <= 11; ++i) carry_floor(s, i);
+  fold(s, 12);
+  for (int i = 0; i <= 10; ++i) carry_floor(s, i);
+
+  // Limbs 0..10 are now in [0, 2^21) and limb 11 holds the rest of a value
+  // below L < 2^253: pack them little-endian.
+  ScalarBytes out{};
+  std::uint64_t acc = 0;
+  int bits = 0;
+  std::size_t o = 0;
+  for (int i = 0; i < 12; ++i) {
+    acc |= static_cast<std::uint64_t>(s[i]) << bits;
+    bits += 21;
+    while (bits >= 8) {
+      out[o++] = static_cast<std::uint8_t>(acc);
+      acc >>= 8;
+      bits -= 8;
     }
   }
-  return 0;
-}
-
-void sub_order(Scalar& a) {
-  const auto& l = order_limbs();
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 9; ++i) {
-    const std::uint64_t d = static_cast<std::uint64_t>(a.limb[i]) -
-                            l[static_cast<std::size_t>(i)] - borrow;
-    a.limb[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(d);
-    borrow = (d >> 32) & 1;
-  }
-}
-
-// Reduce an arbitrary little-endian byte string modulo L.
-Scalar scalar_from_bytes_wide(ByteView bytes_le) {
-  Scalar r;  // running remainder < L
-  for (std::size_t byte_idx = bytes_le.size(); byte_idx-- > 0;) {
-    const std::uint8_t byte = bytes_le[byte_idx];
-    for (int bit = 7; bit >= 0; --bit) {
-      // r = 2r + bit
-      std::uint32_t carry = (byte >> bit) & 1;
-      for (int i = 0; i < 9; ++i) {
-        const std::uint32_t next_carry = r.limb[static_cast<std::size_t>(i)] >> 31;
-        r.limb[static_cast<std::size_t>(i)] =
-            (r.limb[static_cast<std::size_t>(i)] << 1) | carry;
-        carry = next_carry;
-      }
-      // ct-ok: per-bit conditional subtract during reduction; accepted for
-      // the software simulator (docs/SECURITY.md, "Constant-time policy").
-      if (cmp_order(r) >= 0) sub_order(r);
-    }
-  }
-  return r;
-}
-
-std::array<std::uint8_t, 32> scalar_to_bytes(const Scalar& s) {
-  std::array<std::uint8_t, 32> out{};
-  for (int i = 0; i < 8; ++i) {
-    const std::uint32_t v = s.limb[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i * 4)] = static_cast<std::uint8_t>(v);
-    out[static_cast<std::size_t>(i * 4 + 1)] = static_cast<std::uint8_t>(v >> 8);
-    out[static_cast<std::size_t>(i * 4 + 2)] = static_cast<std::uint8_t>(v >> 16);
-    out[static_cast<std::size_t>(i * 4 + 3)] = static_cast<std::uint8_t>(v >> 24);
-  }
+  out[o] = static_cast<std::uint8_t>(acc);
   return out;
 }
 
-// (a * b + c) mod L via 64-bit accumulation then wide reduction.
-Scalar scalar_mul_add(const Scalar& a, const Scalar& b, const Scalar& c) {
-  std::array<std::uint64_t, 17> acc{};
-  for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      const std::uint64_t p =
-          static_cast<std::uint64_t>(a.limb[static_cast<std::size_t>(i)]) *
-          b.limb[static_cast<std::size_t>(j)];
-      acc[static_cast<std::size_t>(i + j)] += p & 0xffffffffu;
-      // Normalize eagerly (and branchlessly: the carry add is unconditional
-      // so timing does not depend on the secret limbs) so accumulators
-      // never overflow.
-      acc[static_cast<std::size_t>(i + j + 1)] +=
-          (p >> 32) + (acc[static_cast<std::size_t>(i + j)] >> 32);
-      acc[static_cast<std::size_t>(i + j)] &= 0xffffffffu;
-    }
+// A 64-byte little-endian value (a SHA-512 digest) mod L.
+ScalarBytes sc_reduce(std::span<const std::uint8_t, 64> wide) {
+  std::int64_t s[24];
+  for (int i = 0; i < 24; ++i) s[i] = load_limb(wide.data(), i, i == 23);
+  return reduce_limbs(s);
+}
+
+// (a·b + c) mod L for 32-byte little-endian a, b, c (any values < 2^256).
+ScalarBytes sc_muladd(const ScalarBytes& a, const ScalarBytes& b,
+                      const ScalarBytes& c) {
+  std::int64_t al[12], bl[12];
+  std::int64_t s[24] = {};
+  for (int i = 0; i < 12; ++i) {
+    al[i] = load_limb(a.data(), i, i == 11);
+    bl[i] = load_limb(b.data(), i, i == 11);
+    s[i] = load_limb(c.data(), i, i == 11);
   }
-  for (int i = 0; i < 8; ++i) acc[static_cast<std::size_t>(i)] += c.limb[static_cast<std::size_t>(i)];
-  // Final carry propagation into a byte string.
-  std::uint64_t carry = 0;
-  Bytes wide(17 * 4);
-  for (int i = 0; i < 17; ++i) {
-    const std::uint64_t v = acc[static_cast<std::size_t>(i)] + carry;
-    const std::uint32_t limb = static_cast<std::uint32_t>(v);
-    carry = v >> 32;
-    wide[static_cast<std::size_t>(i * 4)] = static_cast<std::uint8_t>(limb);
-    wide[static_cast<std::size_t>(i * 4 + 1)] = static_cast<std::uint8_t>(limb >> 8);
-    wide[static_cast<std::size_t>(i * 4 + 2)] = static_cast<std::uint8_t>(limb >> 16);
-    wide[static_cast<std::size_t>(i * 4 + 3)] = static_cast<std::uint8_t>(limb >> 24);
+  for (int i = 0; i < 12; ++i) {
+    for (int j = 0; j < 12; ++j) s[i + j] += al[i] * bl[j];
   }
-  return scalar_from_bytes_wide(wide);
+  carry_alternate(s, 0, 22);
+  carry_alternate(s, 1, 21);
+  return reduce_limbs(s);
+}
+
+// s < L, by the borrow out of s − L. Branch-free like the arithmetic above,
+// though its one caller only feeds it the public signature scalar.
+bool sc_is_canonical(const std::uint8_t* s) {
+  unsigned borrow = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned d = static_cast<unsigned>(s[i]) - kOrder[i] - borrow;
+    borrow = (d >> 8) & 1;
+  }
+  return borrow == 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,29 +253,37 @@ Point point_msub(const Point& p, const Niels& q) {
   return point_madd(p, Niels{q.yminusx, q.yplusx, fe_neg(q.xy2d)});
 }
 
-// Convert extended points to affine Niels with one shared inversion
-// (Montgomery batch-inversion trick) — 3 multiplies per point instead of a
-// ~250-multiply inversion each.
-std::vector<Niels> to_niels_batch(const std::vector<Point>& pts) {
-  const std::size_t n = pts.size();
-  std::vector<Fe> prefix(n);
+// One table window: P, 2P, ..., 8P (or, with `step` = 2P, the odd
+// multiples P, 3P, ..., 15P) in affine Niels form. The eight conversions
+// share one inversion (Montgomery's batch-inversion trick: 3 multiplies per
+// point instead of a ~250-multiply inversion each), and everything lives on
+// the stack, so building a table allocates nothing but the table.
+std::array<Niels, 8> window_multiples(const Point& p, const Point& step) {
+  std::array<Point, 8> pts;
+  pts[0] = p;
+  for (std::size_t j = 1; j < 8; ++j) pts[j] = point_add(pts[j - 1], step);
+  std::array<Fe, 8> prefix;
   prefix[0] = pts[0].z;
-  for (std::size_t i = 1; i < n; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
-  Fe inv = fe_invert(prefix[n - 1]);
-  std::vector<Fe> zinv(n);
-  for (std::size_t i = n - 1; i > 0; --i) {
-    zinv[i] = fe_mul(inv, prefix[i - 1]);
-    inv = fe_mul(inv, pts[i].z);
+  for (std::size_t j = 1; j < 8; ++j) prefix[j] = fe_mul(prefix[j - 1], pts[j].z);
+  Fe inv = fe_invert(prefix[7]);
+  std::array<Fe, 8> zinv;
+  for (std::size_t j = 7; j > 0; --j) {
+    zinv[j] = fe_mul(inv, prefix[j - 1]);
+    inv = fe_mul(inv, pts[j].z);
   }
   zinv[0] = inv;
-  std::vector<Niels> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Fe x = fe_mul(pts[i].x, zinv[i]);
-    const Fe y = fe_mul(pts[i].y, zinv[i]);
-    out[i] = Niels{fe_add(y, x), fe_sub(y, x),
+  std::array<Niels, 8> out;
+  for (std::size_t j = 0; j < 8; ++j) {
+    const Fe x = fe_mul(pts[j].x, zinv[j]);
+    const Fe y = fe_mul(pts[j].y, zinv[j]);
+    out[j] = Niels{fe_add(y, x), fe_sub(y, x),
                    fe_mul(fe_mul(x, y), edwards_2d())};
   }
   return out;
+}
+
+std::array<Niels, 8> window_multiples(const Point& p) {
+  return window_multiples(p, p);
 }
 
 // base_table()[i][j] = (j+1)·16^(2i)·B, built once at first use.
@@ -269,26 +294,11 @@ const std::array<Niels, 8>& base_odd_table();
 
 const std::array<std::array<Niels, 8>, 32>& base_table() {
   static const std::array<std::array<Niels, 8>, 32> value = [] {
-    std::vector<Point> pts;
-    pts.reserve(32 * 8);
-    Point window_base = base_point();  // 16^(2i)·B for the current window
-    for (int i = 0; i < 32; ++i) {
-      Point q = window_base;
-      for (int j = 0; j < 8; ++j) {
-        pts.push_back(q);
-        if (j < 7) q = point_add(q, window_base);
-      }
-      if (i < 31) {
-        for (int k = 0; k < 8; ++k) window_base = point_double(window_base);
-      }
-    }
-    const std::vector<Niels> niels = to_niels_batch(pts);
     std::array<std::array<Niels, 8>, 32> table;
-    for (int i = 0; i < 32; ++i) {
-      for (int j = 0; j < 8; ++j) {
-        table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            niels[static_cast<std::size_t>(i * 8 + j)];
-      }
+    Point window_base = base_point();  // 16^(2i)·B for the current window
+    for (auto& window : table) {
+      window = window_multiples(window_base);
+      for (int k = 0; k < 8; ++k) window_base = point_double(window_base);
     }
     return table;
   }();
@@ -296,20 +306,8 @@ const std::array<std::array<Niels, 8>, 32>& base_table() {
 }
 
 const std::array<Niels, 8>& base_odd_table() {
-  static const std::array<Niels, 8> value = [] {
-    std::vector<Point> pts;
-    pts.reserve(8);
-    const Point b2 = point_double(base_point());
-    Point q = base_point();
-    for (int j = 0; j < 8; ++j) {
-      pts.push_back(q);
-      if (j < 7) q = point_add(q, b2);
-    }
-    const std::vector<Niels> niels = to_niels_batch(pts);
-    std::array<Niels, 8> table;
-    for (int j = 0; j < 8; ++j) table[static_cast<std::size_t>(j)] = niels[static_cast<std::size_t>(j)];
-    return table;
-  }();
+  static const std::array<Niels, 8> value =
+      window_multiples(base_point(), point_double(base_point()));
   return value;
 }
 
@@ -504,55 +502,57 @@ std::array<std::uint8_t, 32> clamp_scalar(const std::uint8_t h[32]) {
   return a;
 }
 
-// The shared input validation of single and batch verification: signature
-// length, canonical s (< L), decodable A, and the challenge scalar
-// k = SHA512(R || A || M) mod L. Only the batch equation needs R as a point
-// (decode_r); single verification compares encodings and leaves `r` unset.
-// Every input rejected here is also rejected by ed25519_verify.
-struct DecodedVerify {
-  Point a;                                // public-key point
-  Point r;                                // signature R point (decode_r)
-  std::array<std::uint8_t, 32> s_bytes{};  // canonical scalar s
-  Scalar s;
-  Scalar k;
+// The input checks every verifier shares: signature length, canonical s
+// (< L), and the challenge scalar k = SHA512(R || A || M) mod L. Every input
+// rejected here is also rejected by ed25519_verify.
+struct Challenge {
+  ScalarBytes s;  // canonical signature scalar
+  ScalarBytes k;
 };
 
-std::optional<DecodedVerify> decode_for_verify(
-    const Ed25519PublicKey& public_key, ByteView message, ByteView signature,
-    bool decode_r) {
+std::optional<Challenge> challenge_for(const Ed25519PublicKey& public_key,
+                                       ByteView message, ByteView signature) {
   if (signature.size() != kEd25519SignatureSize) return std::nullopt;
-  const ByteView r_enc = signature.subspan(0, 32);
-  const ByteView s_enc = signature.subspan(32, 32);
+  if (!sc_is_canonical(signature.data() + 32)) return std::nullopt;
+  Challenge out;
+  std::memcpy(out.s.data(), signature.data() + 32, 32);
+  Sha512 hk;
+  hk.update(signature.subspan(0, 32));
+  hk.update(public_key);
+  hk.update(message);
+  out.k = sc_reduce(hk.finish());
+  return out;
+}
 
-  DecodedVerify out;
-  for (int i = 0; i < 8; ++i) {
-    std::uint32_t v = 0;
-    for (int j = 3; j >= 0; --j) {
-      v = (v << 8) | s_enc[static_cast<std::size_t>(i * 4 + j)];
-    }
-    out.s.limb[static_cast<std::size_t>(i)] = v;
-  }
-  // ct-ok: s is the signature scalar, a public input to verification.
-  if (cmp_order(out.s) >= 0) return std::nullopt;
+// The batch equation's view of one item: the challenge plus A and R as
+// points (single verification compares R's encoding and never decodes it).
+struct DecodedVerify {
+  Point a;  // public-key point
+  Point r;  // signature R point
+  Challenge challenge;
+};
 
+std::optional<DecodedVerify> decode_for_batch(
+    const Ed25519PublicKey& public_key, ByteView message, ByteView signature) {
+  const auto challenge = challenge_for(public_key, message, signature);
+  // ct-ok: verification inputs (public key, signature) are public values.
+  if (!challenge) return std::nullopt;
   const auto a_point = point_decode(public_key);
   // ct-ok: the public key is a public input to verification.
   if (!a_point) return std::nullopt;
-  out.a = *a_point;
-  if (decode_r) {
-    const auto r_point = point_decode(r_enc);
-    if (!r_point) return std::nullopt;
-    out.r = *r_point;
-  }
+  const auto r_point = point_decode(signature.subspan(0, 32));
+  if (!r_point) return std::nullopt;
+  return DecodedVerify{*a_point, *r_point, *challenge};
+}
 
-  Sha512 hk;
-  hk.update(r_enc);
-  hk.update(public_key);
-  hk.update(message);
-  const Sha512Digest k_wide = hk.finish();
-  out.k = scalar_from_bytes_wide(k_wide);
-  std::memcpy(out.s_bytes.data(), s_enc.data(), 32);
-  return out;
+// The RFC 8032 §5.1.7 acceptance test on a computed s·B − k·A: its
+// canonical encoding must equal the 32 R bytes. R is never decoded: R bytes
+// that are non-canonical (y >= p, or x = 0 with the sign bit set) or name no
+// curve point never equal a canonical encoding, so they are rejected exactly
+// as a failed decode would be.
+bool matches_r(const Point& check, ByteView signature) {
+  const auto check_enc = point_encode(check);
+  return std::memcmp(check_enc.data(), signature.data(), 32) == 0;
 }
 
 bool point_is_identity(const Point& p) {
@@ -560,7 +560,97 @@ bool point_is_identity(const Point& p) {
   return fe_is_zero(p.x) && fe_is_zero(fe_sub(p.y, p.z));
 }
 
+// ---------------------------------------------------------------------------
+// Known-key verification: a fixed-base table for one public key A.
+//
+// kTableWindows windows of 8 affine Niels points, windows[i][j] =
+// (j+1)·16^(g·i)·(−A) with g = 64 / kTableWindows radix-16 digits per window,
+// so k·(−A) is g passes of kTableWindows mixed additions with 4 doublings
+// between passes: 16 windows give 64 additions and 12 doublings where the
+// Straus pass pays a 253-step doubling chain, and s·B runs on the base
+// table. Variable-time like every verification path: its inputs are public.
+// ---------------------------------------------------------------------------
+
+constexpr int kTableWindows = 16;
+constexpr int kDigitsPerWindow = 64 / kTableWindows;
+
+struct KeyTable {
+  std::array<std::array<Niels, 8>, kTableWindows> windows;
+};
+static_assert(sizeof(KeyTable) <= 16 * 1024, "a key table stays within 16 KiB");
+
+// nullptr when A does not decode: ed25519_verify rejects every signature
+// under such a key, and so does a holder without a table.
+std::unique_ptr<const KeyTable> build_key_table(
+    const Ed25519PublicKey& public_key) {
+  const auto a_point = point_decode(public_key);
+  // ct-ok: the public key is a public input to verification.
+  if (!a_point) return nullptr;
+  auto table = std::make_unique<KeyTable>();
+  Point window_base = point_neg(*a_point);  // 16^(g·i)·(−A)
+  for (auto& window : table->windows) {
+    window = window_multiples(window_base);
+    for (int d = 0; d < 4 * kDigitsPerWindow; ++d) {
+      window_base = point_double(window_base);
+    }
+  }
+  return table;
+}
+
+// s·B − k·A: two fixed-base passes, one on the base table and one on A's.
+Point known_key_check(const KeyTable& table, const ScalarBytes& s,
+                      const ScalarBytes& k) {
+  const auto e = to_radix16(k);
+  Point h = point_identity();
+  for (int m = kDigitsPerWindow - 1; m >= 0; --m) {
+    if (m != kDigitsPerWindow - 1) {
+      for (int d = 0; d < 4; ++d) h = point_double(h);
+    }
+    for (int i = 0; i < kTableWindows; ++i) {
+      h = madd_digit(h, table.windows[static_cast<std::size_t>(i)],
+                     e[static_cast<std::size_t>(kDigitsPerWindow * i + m)]);
+    }
+  }
+  return point_add(base_scalar_mul(s), h);
+}
+
 }  // namespace
+
+struct Ed25519VerifyKey::State {
+  std::atomic<std::uint32_t> verifications{0};
+  std::mutex build_mutex;
+  std::atomic<bool> ready{false};
+  std::unique_ptr<const KeyTable> table;  // written once, before `ready`
+};
+
+Ed25519VerifyKey::Ed25519VerifyKey(const Ed25519PublicKey& public_key)
+    : public_key_(public_key), state_(std::make_shared<State>()) {}
+
+bool Ed25519VerifyKey::has_table() const {
+  return state_->ready.load(std::memory_order_acquire) && state_->table;
+}
+
+bool Ed25519VerifyKey::verify(ByteView message, ByteView signature) const {
+  State& st = *state_;
+  if (!st.ready.load(std::memory_order_acquire)) {
+    // A key checked once gets no table.
+    if (st.verifications.fetch_add(1, std::memory_order_relaxed) == 0) {
+      return ed25519_verify(public_key_, message, signature);
+    }
+    const std::lock_guard<std::mutex> lock(st.build_mutex);
+    if (!st.ready.load(std::memory_order_relaxed)) {
+      st.table = build_key_table(public_key_);
+      st.ready.store(true, std::memory_order_release);
+    }
+  }
+  // ct-ok: a missing table means A does not decode, a public fact.
+  if (!st.table) return false;
+  const auto challenge = challenge_for(public_key_, message, signature);
+  // ct-ok: verification inputs (public key, signature) are public values.
+  if (!challenge) return false;
+  return matches_r(known_key_check(*st.table, challenge->s, challenge->k),
+                   signature);
+}
 
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
   return ed25519_expand_key(seed).public_key;
@@ -568,8 +658,13 @@ Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
 
 Ed25519SigningKey ed25519_expand_key(const Ed25519Seed& seed) {
   const Zeroizing<Sha512Digest> h = Sha512::hash(seed);
+  // The clamped scalar, zero-extended to 64 bytes and reduced mod L once
+  // here so that signing pays no reduction for it.
+  Zeroizing<std::array<std::uint8_t, 64>> wide;
+  const auto clamped = clamp_scalar(h->data());
+  std::copy(clamped.begin(), clamped.end(), wide->begin());
   Ed25519SigningKey key;
-  key.scalar = clamp_scalar(h->data());
+  key.scalar = sc_reduce(*wide);
   std::memcpy(key.prefix.data(), h->data() + 32, 32);
   key.public_key = point_encode(base_scalar_mul(key.scalar));
   return key;
@@ -587,48 +682,38 @@ Ed25519Signature ed25519_sign(const Ed25519SigningKey& key, ByteView message) {
   Sha512 hr;
   hr.update(key.prefix);
   hr.update(message);
-  const Sha512Digest r_wide = hr.finish();
-  const Scalar r = scalar_from_bytes_wide(r_wide);
-  const auto r_bytes = scalar_to_bytes(r);
-  const auto r_enc = point_encode(base_scalar_mul(r_bytes));
+  const ScalarBytes r = sc_reduce(hr.finish());
+  const auto r_enc = point_encode(base_scalar_mul(r));
 
   // k = SHA512(R || A || M) mod L
   Sha512 hk;
   hk.update(r_enc);
   hk.update(key.public_key);
   hk.update(message);
-  const Sha512Digest k_wide = hk.finish();
-  const Scalar k = scalar_from_bytes_wide(k_wide);
+  const ScalarBytes k = sc_reduce(hk.finish());
 
   // s = (r + k * a) mod L
-  const Scalar a_scalar = scalar_from_bytes_wide(key.scalar);
-  const Scalar s = scalar_mul_add(k, a_scalar, r);
-  const auto s_bytes = scalar_to_bytes(s);
+  const ScalarBytes s = sc_muladd(k, key.scalar, r);
 
   Ed25519Signature sig;
   std::memcpy(sig.data(), r_enc.data(), 32);
-  std::memcpy(sig.data() + 32, s_bytes.data(), 32);
+  std::memcpy(sig.data() + 32, s.data(), 32);
   return sig;
 }
 
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
                     ByteView signature) {
-  const auto decoded =
-      decode_for_verify(public_key, message, signature, /*decode_r=*/false);
+  const auto challenge = challenge_for(public_key, message, signature);
   // ct-ok: verification inputs (public key, signature) are public values.
-  if (!decoded) return false;
-  const auto k_bytes = scalar_to_bytes(decoded->k);
-
-  // Check s*B == R + k*A  <=>  k*(-A) + s*B == R, computed in one
-  // interleaved Straus pass with shared doublings. R is not decoded: the
-  // check point's canonical encoding is compared with the 32 R bytes
-  // (RFC 8032 §5.1.7), and R bytes that are non-canonical (y >= p, or x = 0
-  // with the sign bit set) or name no curve point never equal a canonical
-  // encoding, so they are rejected exactly as a failed decode would.
-  const Point check = double_scalarmult_vartime(
-      k_bytes, point_neg(decoded->a), decoded->s_bytes);
-  const auto check_enc = point_encode(check);
-  return std::memcmp(check_enc.data(), signature.data(), 32) == 0;
+  if (!challenge) return false;
+  const auto a_point = point_decode(public_key);
+  // ct-ok: the public key is a public input to verification.
+  if (!a_point) return false;
+  // s·B − k·A = k·(−A) + s·B in one interleaved Straus pass with shared
+  // doublings.
+  return matches_r(double_scalarmult_vartime(challenge->k, point_neg(*a_point),
+                                             challenge->s),
+                   signature);
 }
 
 std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
@@ -642,14 +727,14 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
   struct Candidate {
     std::size_t index;
     DecodedVerify decoded;
-    Scalar z;  // 128-bit blinding coefficient
+    ScalarBytes z;  // 128-bit blinding coefficient
   };
   std::vector<Candidate> candidates;
   candidates.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto decoded = decode_for_verify(items[i].public_key, items[i].message,
-                                     items[i].signature, /*decode_r=*/true);
-    if (decoded) candidates.push_back({i, std::move(*decoded), Scalar{}});
+    auto decoded = decode_for_batch(items[i].public_key, items[i].message,
+                                    items[i].signature);
+    if (decoded) candidates.push_back({i, std::move(*decoded), ScalarBytes{}});
   }
   if (candidates.empty()) return ok;
 
@@ -677,11 +762,12 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     batch_digest = h.finish();
   }
   for (std::size_t j = 0; j < candidates.size(); ++j) {
-    std::array<std::uint8_t, 32> z_bytes{};
+    // z < 2^128 < L, so it needs no reduction.
+    ScalarBytes& z = candidates[j].z;
     if (rng) {
       std::array<std::uint8_t, 16> raw{};
       rng->fill(raw);
-      std::copy(raw.begin(), raw.end(), z_bytes.begin());
+      std::copy(raw.begin(), raw.end(), z.begin());
     } else {
       Sha512 h;
       h.update(batch_digest);
@@ -692,10 +778,9 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
       }
       h.update(idx);
       const Sha512Digest zd = h.finish();
-      std::copy(zd.begin(), zd.begin() + 16, z_bytes.begin());
+      std::copy(zd.begin(), zd.begin() + 16, z.begin());
     }
-    z_bytes[0] |= 1;  // never zero: a zero coefficient drops its item
-    candidates[j].z = scalar_from_bytes_wide(z_bytes);
+    z[0] |= 1;  // never zero: a zero coefficient drops its item
   }
 
   // Batch equation scalars:
@@ -708,16 +793,16 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     std::array<std::int8_t, 256> digits;
   };
   std::vector<Term> terms(2 * candidates.size());
-  Scalar s_total;
+  ScalarBytes s_total{};
   for (std::size_t j = 0; j < candidates.size(); ++j) {
     const Candidate& c = candidates[j];
-    const Scalar zk = scalar_mul_add(c.z, c.decoded.k, Scalar{});
-    s_total = scalar_mul_add(c.z, c.decoded.s, s_total);
+    const ScalarBytes zk = sc_muladd(c.z, c.decoded.challenge.k, ScalarBytes{});
+    s_total = sc_muladd(c.z, c.decoded.challenge.s, s_total);
 
     Term& tr = terms[2 * j];      // z_i · R_i
     Term& ta = terms[2 * j + 1];  // (z_i·k_i) · A_i
-    slide(tr.digits.data(), scalar_to_bytes(c.z));
-    slide(ta.digits.data(), scalar_to_bytes(zk));
+    slide(tr.digits.data(), c.z);
+    slide(ta.digits.data(), zk);
     for (Term* t : {&tr, &ta}) {
       const Point& p = (t == &tr) ? c.decoded.r : c.decoded.a;
       t->odd[0] = p;
@@ -729,7 +814,7 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     }
   }
   std::array<std::int8_t, 256> base_digits;
-  slide(base_digits.data(), scalar_to_bytes(s_total));
+  slide(base_digits.data(), s_total);
   const auto& base_odd = base_odd_table();
 
   int top = 255;
@@ -795,6 +880,18 @@ std::array<std::uint8_t, 32> base_mul_ladder(
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le) {
   return point_encode(base_scalar_mul(scalar_le));
+}
+
+std::array<std::uint8_t, 32> scalar_reduce_wide(
+    const std::array<std::uint8_t, 64>& wide_le) {
+  return sc_reduce(wide_le);
+}
+
+std::array<std::uint8_t, 32> scalar_mul_add(
+    const std::array<std::uint8_t, 32>& a,
+    const std::array<std::uint8_t, 32>& b,
+    const std::array<std::uint8_t, 32>& c) {
+  return sc_muladd(a, b, c);
 }
 
 }  // namespace detail

@@ -6,11 +6,14 @@
 //
 // Fixed-base scalar multiplications (keygen, sign) run against a
 // precomputed 32x8 window table of base-point multiples; verification uses
-// an interleaved Straus double-scalar multiplication. Both are
-// variable-time — see docs/PROTOCOL.md, "Constant-time notes".
+// an interleaved Straus double-scalar multiplication, or two fixed-base
+// passes when the holder of a trust anchor keeps an Ed25519VerifyKey. The
+// point arithmetic is variable-time and the scalar arithmetic mod L is
+// constant-time — see docs/PROTOCOL.md, "Constant-time notes".
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -42,7 +45,7 @@ struct Ed25519KeyPair {
 /// The secret halves wipe themselves (Zeroizing), so the key lives exactly
 /// as long as the object holding it.
 struct Ed25519SigningKey {
-  Zeroizing<std::array<std::uint8_t, 32>> scalar;  // clamped a
+  Zeroizing<std::array<std::uint8_t, 32>> scalar;  // clamped a, reduced mod L
   Zeroizing<std::array<std::uint8_t, 32>> prefix;  // SHA-512(seed)[32..64)
   Ed25519PublicKey public_key{};
 };
@@ -64,6 +67,35 @@ Ed25519Signature ed25519_sign(const Ed25519SigningKey& key, ByteView message);
 /// non-canonical and undecodable R, RFC 8032 §5.1.7).
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
                     ByteView signature);
+
+/// A trust anchor's public key: one its holder checks many signatures
+/// against (a CA root, a quoting enclave's attestation key, the IAS report
+/// key, a TPM AIK). The first verification runs ed25519_verify. The second
+/// builds a table of 16 windows × 8 multiples of −A (15,360 B, owned by
+/// this object and shared by its copies), and from then on every
+/// verification computes s·B − k·A with two fixed-base passes — 12
+/// doublings instead of a 253-step chain — and compares its encoding with
+/// the R bytes exactly as ed25519_verify does, so verdicts are identical.
+/// Leaf keys, checked once, stay bare Ed25519PublicKeys and get no table.
+/// Thread-safe: concurrent verifications build the table at most once.
+class Ed25519VerifyKey {
+ public:
+  explicit Ed25519VerifyKey(const Ed25519PublicKey& public_key);
+
+  const Ed25519PublicKey& public_key() const { return public_key_; }
+
+  /// Same verdict as ed25519_verify(public_key(), message, signature).
+  bool verify(ByteView message, ByteView signature) const;
+
+  /// True once the fixed-base table exists (from the second verification
+  /// on; never for a key that does not decode).
+  bool has_table() const;
+
+ private:
+  struct State;
+  Ed25519PublicKey public_key_{};
+  std::shared_ptr<State> state_;
+};
 
 /// One (key, message, signature) triple of a verification batch.
 struct Ed25519BatchItem {
@@ -112,6 +144,17 @@ std::array<std::uint8_t, 32> base_mul_ladder(
     const std::array<std::uint8_t, 32>& scalar_le);
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le);
+
+/// Test hooks: the radix-2^21 scalar arithmetic mod L that signing and
+/// verification run on. scalar_reduce_wide takes any 512-bit value;
+/// scalar_mul_add computes (a·b + c) mod L for any 256-bit a, b, c. Both
+/// return the canonical encoding (< L).
+std::array<std::uint8_t, 32> scalar_reduce_wide(
+    const std::array<std::uint8_t, 64>& wide_le);
+std::array<std::uint8_t, 32> scalar_mul_add(
+    const std::array<std::uint8_t, 32>& a,
+    const std::array<std::uint8_t, 32>& b,
+    const std::array<std::uint8_t, 32>& c);
 
 }  // namespace detail
 

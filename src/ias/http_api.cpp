@@ -63,7 +63,7 @@ IasClient::IasClient(Connect connect,
     : pool_(std::make_shared<http::ClientPool>(
           std::move(connect),
           http::ClientPool::Options{max_connections, "ias"})),
-      signing_key_(report_signing_key) {}
+      report_key_(report_signing_key) {}
 
 VerificationReport IasClient::fetch_report_unverified(ByteView quote_bytes) {
   json::Object request_body;
@@ -105,7 +105,7 @@ VerificationReport IasClient::fetch_report_unverified(ByteView quote_bytes) {
 
 VerificationReport IasClient::verify_quote(ByteView quote_bytes) {
   VerificationReport avr = fetch_report_unverified(quote_bytes);
-  if (!avr.verify(signing_key_)) {
+  if (!avr.verify(report_key_)) {
     throw ProtocolError("ias: report signature verification failed");
   }
   return avr;

@@ -42,12 +42,12 @@ class IasClient {
 
   /// Submit a quote and return the AVR *without* checking its signature:
   /// the fleet path defers that to one Ed25519 batch verification across
-  /// all attestations. Callers must check avr.verify(report_signing_key())
-  /// (or batch-equivalent) before trusting the report.
+  /// all attestations. Callers must check the signature against
+  /// report_signing_key() (or batch-equivalent) before trusting the report.
   VerificationReport fetch_report_unverified(ByteView quote_bytes);
 
   const crypto::Ed25519PublicKey& report_signing_key() const {
-    return signing_key_;
+    return report_key_.public_key();
   }
 
   /// Total IAS connections dialed (reconnect meter for tests/benches).
@@ -55,7 +55,7 @@ class IasClient {
 
  private:
   std::shared_ptr<http::ClientPool> pool_;
-  crypto::Ed25519PublicKey signing_key_;
+  crypto::Ed25519VerifyKey report_key_;  // the pinned trust anchor
 };
 
 }  // namespace vnfsgx::ias

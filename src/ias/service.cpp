@@ -58,9 +58,9 @@ sgx::PlatformId VerificationReport::platform_id() const {
   return sgx::Quote::decode(quote_bytes).platform_id;
 }
 
-bool VerificationReport::verify(const crypto::Ed25519PublicKey& ias_key) const {
-  return crypto::ed25519_verify(ias_key, to_bytes(body_json),
-                                ByteView(signature.data(), signature.size()));
+bool VerificationReport::verify(const crypto::Ed25519VerifyKey& ias_key) const {
+  return ias_key.verify(to_bytes(body_json),
+                        ByteView(signature.data(), signature.size()));
 }
 
 IasService::IasService(crypto::RandomSource& rng, const Clock& clock)
@@ -72,7 +72,7 @@ IasService::IasService(crypto::RandomSource& rng, const Clock& clock)
 void IasService::register_platform(
     const sgx::PlatformId& id, const crypto::Ed25519PublicKey& attestation_key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  platforms_[id] = attestation_key;
+  platforms_.insert_or_assign(id, crypto::Ed25519VerifyKey(attestation_key));
   VNFSGX_LOG_INFO("ias", "platform registered (EPID join)");
 }
 
@@ -95,7 +95,7 @@ std::optional<crypto::Ed25519PublicKey> IasService::attestation_key(
   if (revoked != revoked_.end() && revoked->second) return std::nullopt;
   const auto it = platforms_.find(id);
   if (it == platforms_.end()) return std::nullopt;
-  return it->second;
+  return it->second.public_key();
 }
 
 VerificationReport IasService::verify_quote(ByteView quote_bytes) {
@@ -106,28 +106,24 @@ VerificationReport IasService::verify_quote(ByteView quote_bytes) {
     return sign_report(QuoteStatus::kMalformed, quote_bytes, nullptr);
   }
 
-  crypto::Ed25519PublicKey attestation_key;
-  bool known = false;
+  std::optional<crypto::Ed25519VerifyKey> attestation_key;
   bool revoked = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = platforms_.find(quote.platform_id);
-    if (it != platforms_.end()) {
-      known = true;
-      attestation_key = it->second;
-    }
+    if (it != platforms_.end()) attestation_key = it->second;
     const auto rit = revoked_.find(quote.platform_id);
     revoked = rit != revoked_.end() && rit->second;
   }
-  if (!known) {
+  if (!attestation_key) {
     return sign_report(QuoteStatus::kUnknownPlatform, quote_bytes, &quote);
   }
   if (revoked) {
     return sign_report(QuoteStatus::kGroupRevoked, quote_bytes, &quote);
   }
-  if (!crypto::ed25519_verify(attestation_key, quote.encode_tbs(),
-                              ByteView(quote.signature.data(),
-                                       quote.signature.size()))) {
+  if (!attestation_key->verify(quote.encode_tbs(),
+                               ByteView(quote.signature.data(),
+                                        quote.signature.size()))) {
     return sign_report(QuoteStatus::kSignatureInvalid, quote_bytes, &quote);
   }
   return sign_report(QuoteStatus::kOk, quote_bytes, &quote);

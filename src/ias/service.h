@@ -45,8 +45,8 @@ struct VerificationReport {
   sgx::ReportBody quoted_enclave() const;
   sgx::PlatformId platform_id() const;
 
-  /// Verify the report signature against the IAS signing key.
-  bool verify(const crypto::Ed25519PublicKey& ias_key) const;
+  /// Verify the report signature against the pinned IAS signing key.
+  bool verify(const crypto::Ed25519VerifyKey& ias_key) const;
 };
 
 class IasService {
@@ -88,7 +88,8 @@ class IasService {
   crypto::RandomSource& rng_;
   const Clock& clock_;
   crypto::Ed25519SigningKey signing_key_;  // expanded once at construction
-  std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platforms_;
+  // Registered attestation keys: trust anchors of every quote check.
+  std::map<sgx::PlatformId, crypto::Ed25519VerifyKey> platforms_;
   std::map<sgx::PlatformId, bool> revoked_;
   std::uint64_t next_report_id_ = 1;
 };

@@ -46,9 +46,8 @@ TpmQuote TpmQuote::decode(ByteView data) {
   return q;
 }
 
-bool TpmQuote::verify(const crypto::Ed25519PublicKey& aik) const {
-  return crypto::ed25519_verify(aik, tbs(),
-                                ByteView(signature.data(), signature.size()));
+bool TpmQuote::verify(const crypto::Ed25519VerifyKey& aik) const {
+  return aik.verify(tbs(), ByteView(signature.data(), signature.size()));
 }
 
 Tpm::Tpm(crypto::RandomSource& rng)

@@ -40,8 +40,8 @@ struct TpmQuote {
   Bytes encode() const;
   static TpmQuote decode(ByteView data);
 
-  /// Verify against the platform's AIK public key.
-  bool verify(const crypto::Ed25519PublicKey& aik) const;
+  /// Verify against the platform's AIK.
+  bool verify(const crypto::Ed25519VerifyKey& aik) const;
 };
 
 class Tpm {

@@ -106,6 +106,11 @@ bool Certificate::verify_signature(
                                 ByteView(signature.data(), signature.size()));
 }
 
+bool Certificate::verify_signature(
+    const crypto::Ed25519VerifyKey& issuer_key) const {
+  return issuer_key.verify(tbs(), ByteView(signature.data(), signature.size()));
+}
+
 std::string Certificate::fingerprint() const {
   return to_hex(crypto::sha256(encode()));
 }

@@ -67,6 +67,8 @@ struct Certificate {
 
   /// Check this certificate's signature against an issuer public key.
   bool verify_signature(const crypto::Ed25519PublicKey& issuer_key) const;
+  /// The same check against a trust anchor's verification key.
+  bool verify_signature(const crypto::Ed25519VerifyKey& issuer_key) const;
 
   /// Validity window test.
   bool valid_at(UnixTime now) const {

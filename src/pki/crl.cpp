@@ -66,9 +66,8 @@ RevocationList RevocationList::decode(ByteView data) {
 }
 
 bool RevocationList::verify_signature(
-    const crypto::Ed25519PublicKey& issuer_key) const {
-  return crypto::ed25519_verify(issuer_key, tbs(),
-                                ByteView(signature.data(), signature.size()));
+    const crypto::Ed25519VerifyKey& issuer_key) const {
+  return issuer_key.verify(tbs(), ByteView(signature.data(), signature.size()));
 }
 
 bool RevocationList::is_revoked(std::uint64_t serial) const {

@@ -29,7 +29,8 @@ struct RevocationList {
   Bytes encode() const;
   static RevocationList decode(ByteView data);
 
-  bool verify_signature(const crypto::Ed25519PublicKey& issuer_key) const;
+  /// Check the signature against the issuing root's verification key.
+  bool verify_signature(const crypto::Ed25519VerifyKey& issuer_key) const;
   bool is_revoked(std::uint64_t serial) const;
 };
 

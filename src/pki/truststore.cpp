@@ -55,15 +55,20 @@ void TrustStore::add_root(const Certificate& root) {
     throw Error("truststore: root self-signature invalid");
   }
   const std::unique_lock<std::shared_mutex> lock(mutex_);
-  roots_.push_back(root);
+  roots_.push_back(Anchor{root, crypto::Ed25519VerifyKey(root.public_key)});
   generation_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+std::size_t TrustStore::root_count() const {
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  return roots_.size();
 }
 
 void TrustStore::set_crl(const RevocationList& crl) {
   const std::unique_lock<std::shared_mutex> lock(mutex_);
-  const Certificate* root = find_root_locked(crl.issuer);
+  const Anchor* root = find_root_locked(crl.issuer);
   if (!root) throw Error("truststore: CRL from unknown issuer");
-  if (!crl.verify_signature(root->public_key)) {
+  if (!crl.verify_signature(root->key)) {
     throw Error("truststore: CRL signature invalid");
   }
   // Invalidate before publishing the new list: once set_crl returns, no
@@ -84,10 +89,10 @@ void TrustStore::set_attested_verifier(const AttestedCertVerifier* verifier) {
   generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-const Certificate* TrustStore::find_root_locked(
+const TrustStore::Anchor* TrustStore::find_root_locked(
     const DistinguishedName& issuer) const {
-  for (const Certificate& root : roots_) {
-    if (root.subject == issuer) return &root;
+  for (const Anchor& root : roots_) {
+    if (root.cert.subject == issuer) return &root;
   }
   return nullptr;
 }
@@ -135,10 +140,10 @@ VerifyResult TrustStore::verify_chain(
 
 VerifyResult TrustStore::verify_link_to_root_locked(const Certificate& cert,
                                                     UnixTime now) const {
-  const Certificate* root = find_root_locked(cert.issuer);
+  const Anchor* root = find_root_locked(cert.issuer);
   if (!root) return {VerifyStatus::kUnknownIssuer};
-  if (!root->is_ca) return {VerifyStatus::kIssuerNotCa};
-  if (!cert.verify_signature(root->public_key)) {
+  if (!root->cert.is_ca) return {VerifyStatus::kIssuerNotCa};
+  if (!cert.verify_signature(root->key)) {
     return {VerifyStatus::kBadSignature};
   }
   for (const RevocationList& crl : crls_) {
@@ -158,16 +163,16 @@ TrustStore::CachedVerdict TrustStore::evaluate_locked(const Certificate& leaf,
   CachedVerdict v;
   v.not_before = leaf.not_before;
   v.not_after = leaf.not_after;
-  const Certificate* root = find_root_locked(leaf.issuer);
+  const Anchor* root = find_root_locked(leaf.issuer);
   if (!root) {
     v.pre = VerifyStatus::kUnknownIssuer;
     return v;
   }
-  if (!root->is_ca) {
+  if (!root->cert.is_ca) {
     v.pre = VerifyStatus::kIssuerNotCa;
     return v;
   }
-  if (!leaf.verify_signature(root->public_key)) {
+  if (!leaf.verify_signature(root->key)) {
     v.pre = VerifyStatus::kBadSignature;
     return v;
   }
@@ -399,19 +404,19 @@ std::vector<VerifyResult> TrustStore::verify_batch(
       CachedVerdict& v = verdicts[i];
       v.not_before = leaf.not_before;
       v.not_after = leaf.not_after;
-      const Certificate* root = find_root_locked(leaf.issuer);
+      const Anchor* root = find_root_locked(leaf.issuer);
       if (!root) {
         v.pre = VerifyStatus::kUnknownIssuer;
         continue;
       }
-      if (!root->is_ca) {
+      if (!root->cert.is_ca) {
         v.pre = VerifyStatus::kIssuerNotCa;
         continue;
       }
       need_sig.push_back(i);
       tbs_storage.push_back(leaf.tbs());
       crypto::Ed25519BatchItem item;
-      item.public_key = root->public_key;
+      item.public_key = root->key.public_key();
       item.message = ByteView(tbs_storage.back());
       item.signature =
           ByteView(leaf.signature.data(), leaf.signature.size());

@@ -95,6 +95,9 @@ class AttestedCertVerifier {
 class TrustStore {
  public:
   /// Trust a CA root. The certificate must be a CA cert; throws otherwise.
+  /// The root's self-signature is checked here, once per root; its key is
+  /// kept as a crypto::Ed25519VerifyKey, which builds its fixed-base table
+  /// on the second certificate or CRL it verifies.
   void add_root(const Certificate& root);
 
   /// Install/replace the CRL for its issuer. The CRL signature is checked
@@ -130,7 +133,7 @@ class TrustStore {
                             std::span<const Certificate> intermediates,
                             KeyUsage usage, UnixTime now) const;
 
-  const std::vector<Certificate>& roots() const { return roots_; }
+  std::size_t root_count() const;
 
   /// Truststore generation: bumped by every add_root/set_crl. Cached
   /// verdicts from older generations are never served.
@@ -161,7 +164,13 @@ class TrustStore {
     UnixTime not_after = 0;
   };
 
-  const Certificate* find_root_locked(const DistinguishedName& issuer) const;
+  // A trusted root and the verification key its signatures are checked by.
+  struct Anchor {
+    Certificate cert;
+    crypto::Ed25519VerifyKey key;
+  };
+
+  const Anchor* find_root_locked(const DistinguishedName& issuer) const;
   VerifyResult verify_link_to_root_locked(const Certificate& cert,
                                           UnixTime now) const;
   CachedVerdict evaluate_locked(const Certificate& leaf, KeyUsage usage) const;
@@ -175,7 +184,7 @@ class TrustStore {
 
   // Guards roots_/crls_; shared for verification, exclusive for updates.
   mutable std::shared_mutex mutex_;
-  std::vector<Certificate> roots_;
+  std::vector<Anchor> roots_;
   std::vector<RevocationList> crls_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<const AttestedCertVerifier*> verifier_{nullptr};

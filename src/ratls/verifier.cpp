@@ -22,6 +22,10 @@ ByteView sig_view(const crypto::Ed25519Signature& sig) {
 
 }  // namespace
 
+// More platforms than this and the map starts over (tables are rebuilt on
+// demand); a deployment's platform count is far below it.
+constexpr std::size_t kMaxAttestationKeys = 64;
+
 Verifier::Verifier(VerifierPolicy policy) : policy_(std::move(policy)) {
   if (!policy_.attestation_key || !policy_.enclave_allowed) {
     throw Error(
@@ -63,6 +67,17 @@ const char* Verifier::pre_check(const pki::Certificate& leaf,
   return nullptr;
 }
 
+crypto::Ed25519VerifyKey Verifier::verify_key_for(
+    const crypto::Ed25519PublicKey& attestation_key) const {
+  const std::lock_guard<std::mutex> lock(keys_mutex_);
+  const auto it = attestation_keys_.find(attestation_key);
+  if (it != attestation_keys_.end()) return it->second;
+  if (attestation_keys_.size() >= kMaxAttestationKeys) attestation_keys_.clear();
+  return attestation_keys_
+      .emplace(attestation_key, crypto::Ed25519VerifyKey(attestation_key))
+      .first->second;
+}
+
 const char* Verifier::post_check(const Evidence& evidence) const {
   if (!policy_.enclave_allowed(evidence.quote.body.mr_enclave)) {
     return "measurement";
@@ -86,9 +101,9 @@ pki::VerifyStatus Verifier::appraise(const pki::Certificate& leaf) const {
         policy_.attestation_key(evidence->quote.platform_id);
     if (!attestation_key) {
       why = "unknown_platform";
-    } else if (!crypto::ed25519_verify(*attestation_key,
-                                       evidence->quote.encode_tbs(),
-                                       sig_view(evidence->quote.signature))) {
+    } else if (!verify_key_for(*attestation_key)
+                    .verify(evidence->quote.encode_tbs(),
+                            sig_view(evidence->quote.signature))) {
       why = "quote_signature";
     }
   }

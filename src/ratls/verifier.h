@@ -16,6 +16,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -63,8 +65,18 @@ class Verifier final : public pki::AttestedCertVerifier {
                         std::optional<Evidence>& evidence) const;
   /// The checks after the signatures verified; label or nullptr.
   const char* post_check(const Evidence& evidence) const;
+  /// The verification key of an attestation key the policy vouched for.
+  crypto::Ed25519VerifyKey verify_key_for(
+      const crypto::Ed25519PublicKey& attestation_key) const;
 
   VerifierPolicy policy_;
+  /// Verification keys of the attestation keys seen so far, so that each
+  /// platform's quotes are checked against its fixed-base table. Keyed by
+  /// key bytes: the policy is still asked on every appraisal, so revoking a
+  /// platform takes effect at once. Bounded by kMaxAttestationKeys.
+  mutable std::mutex keys_mutex_;
+  mutable std::map<crypto::Ed25519PublicKey, crypto::Ed25519VerifyKey>
+      attestation_keys_;
 };
 
 }  // namespace vnfsgx::ratls

@@ -409,38 +409,53 @@ namespace {
 using HandshakeFn = std::unique_ptr<Session> (*)(net::StreamPtr,
                                                  const Config&);
 
+/// One role's handshake instruments, registered at its first handshake and
+/// cached: a handshake looks nothing up in the metrics registry.
+struct HandshakeMeters {
+  explicit HandshakeMeters(const char* role)
+      : duration(obs::registry().histogram(
+            "vnfsgx_tls_handshake_duration_us", {{"role", role}}, {},
+            "TLS handshake wall time (Figure-1 step 6)")),
+        full(outcome(role, "full", "ok")),
+        resumed(outcome(role, "resumed", "ok")),
+        failed(outcome(role, "unknown", "fail")) {}
+
+  static obs::Counter& outcome(const char* role, const char* kind,
+                               const char* result) {
+    return obs::registry().counter(
+        "vnfsgx_tls_handshakes_total",
+        {{"role", role}, {"kind", kind}, {"result", result}},
+        "TLS handshake outcomes");
+  }
+
+  obs::Histogram& duration;
+  obs::Counter& full;
+  obs::Counter& resumed;
+  obs::Counter& failed;
+};
+
 /// Step-6 span + handshake counters/latency. Only the handshake pays for
 /// observability here — the record path (Session::write/read) adds nothing
 /// beyond cached relaxed counter adds, keeping hot-path overhead flat.
 std::unique_ptr<Session> handshake_instrumented(const char* role,
+                                                HandshakeMeters& meters,
                                                 net::StreamPtr transport,
                                                 const Config& config,
                                                 HandshakeFn fn) {
-  obs::Histogram& duration = obs::registry().histogram(
-      "vnfsgx_tls_handshake_duration_us", {{"role", role}}, {},
-      "TLS handshake wall time (Figure-1 step 6)");
   obs::Span span =
       obs::tracer().start_span("tls_handshake", obs::kStepSecureChannel);
   span.annotate("role", role);
   try {
     std::unique_ptr<Session> session = fn(std::move(transport), config);
-    const char* kind = session->resumed() ? "resumed" : "full";
-    span.annotate("kind", kind);
+    const bool resumed = session->resumed();
+    span.annotate("kind", resumed ? "resumed" : "full");
     span.end();
-    duration.observe(span.elapsed_us());
-    obs::registry()
-        .counter("vnfsgx_tls_handshakes_total",
-                 {{"role", role}, {"kind", kind}, {"result", "ok"}},
-                 "TLS handshake outcomes")
-        .add();
+    meters.duration.observe(span.elapsed_us());
+    (resumed ? meters.resumed : meters.full).add();
     return session;
   } catch (...) {
     span.annotate("result", "fail");
-    obs::registry()
-        .counter("vnfsgx_tls_handshakes_total",
-                 {{"role", role}, {"kind", "unknown"}, {"result", "fail"}},
-                 "TLS handshake outcomes")
-        .add();
+    meters.failed.add();
     throw;
   }
 }
@@ -453,7 +468,8 @@ std::unique_ptr<Session> handshake_instrumented(const char* role,
 
 std::unique_ptr<Session> Session::connect(net::StreamPtr transport,
                                           const Config& config) {
-  return handshake_instrumented("client", std::move(transport), config,
+  static HandshakeMeters meters("client");
+  return handshake_instrumented("client", meters, std::move(transport), config,
                                 &Session::connect_impl);
 }
 
@@ -590,7 +606,8 @@ std::unique_ptr<Session> Session::connect_impl(net::StreamPtr transport,
 
 std::unique_ptr<Session> Session::accept(net::StreamPtr transport,
                                          const Config& config) {
-  return handshake_instrumented("server", std::move(transport), config,
+  static HandshakeMeters meters("server");
+  return handshake_instrumented("server", meters, std::move(transport), config,
                                 &Session::accept_impl);
 }
 

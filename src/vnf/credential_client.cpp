@@ -83,6 +83,16 @@ void CredentialClient::restore_state(ByteView blob) {
   enclave_->call(kOpRestoreState, blob);
 }
 
+namespace {
+
+obs::Counter& enclave_sessions_total(const char* result) {
+  return obs::registry().counter(
+      "vnfsgx_enclave_tls_sessions_total", {{"result", result}},
+      "Enclave-terminated TLS sessions opened via ECALL");
+}
+
+}  // namespace
+
 void CredentialClient::tls_open(net::StreamPtr transport, UnixTime now,
                                 const std::string& expected_server_name,
                                 const pki::Certificate& ca_root) {
@@ -102,19 +112,15 @@ void CredentialClient::tls_open(net::StreamPtr transport, UnixTime now,
     OcallStreamRegistry::remove(stream_token_);
     stream_token_ = 0;
     span.annotate("result", "fail");
-    obs::registry()
-        .counter("vnfsgx_enclave_tls_sessions_total", {{"result", "fail"}},
-                 "Enclave-terminated TLS sessions opened via ECALL")
-        .add();
+    static obs::Counter& failed = enclave_sessions_total("fail");
+    failed.add();
     throw;
   }
   span.annotate("result", "ok");
   span.end();
   duration.observe(span.elapsed_us());
-  obs::registry()
-      .counter("vnfsgx_enclave_tls_sessions_total", {{"result", "ok"}},
-               "Enclave-terminated TLS sessions opened via ECALL")
-      .add();
+  static obs::Counter& opened = enclave_sessions_total("ok");
+  opened.add();
 }
 
 void CredentialClient::tls_send(ByteView data) {

@@ -216,8 +216,19 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     if (!services.vault().contains("cert")) {
       throw Error("credential enclave: no certificate installed");
     }
-    truststore_ = std::make_unique<pki::TrustStore>();
-    truststore_->add_root(ca_root);
+    // One trust store per enclave, kept across sessions: the root's
+    // self-signature is checked once per root, and the controller
+    // certificate's verdict comes from the store's validation cache (its
+    // validity window is still checked against this call's `now`). A
+    // different root replaces the store, dropping every cached verdict.
+    const std::string root_fingerprint = ca_root.fingerprint();
+    if (!truststore_ || root_fingerprint != truststore_root_) {
+      auto store = std::make_unique<pki::TrustStore>();
+      store->add_root(ca_root);
+      session_.reset();  // a live session may still point at the old store
+      truststore_ = std::move(store);
+      truststore_root_ = root_fingerprint;
+    }
     clock_ = std::make_unique<FixedClock>(now);
     rng_ = std::make_unique<ServicesRng>(services);
 
@@ -325,6 +336,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
   std::optional<crypto::Ed25519SigningKey> signing_key_;
   // In-enclave TLS state: session keys live and die here.
   std::unique_ptr<pki::TrustStore> truststore_;
+  std::string truststore_root_;  // fingerprint of truststore_'s one root
   std::unique_ptr<FixedClock> clock_;
   std::unique_ptr<ServicesRng> rng_;
   std::unique_ptr<tls::Session> session_;

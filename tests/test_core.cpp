@@ -563,7 +563,8 @@ TEST_F(VmApiTestbed, CrlDownloadAndRevocation) {
   const pki::RevocationList crl = pki::RevocationList::decode(
       base64_decode(after.at("crl").as_string()));
   EXPECT_TRUE(crl.is_revoked(42));
-  EXPECT_TRUE(crl.verify_signature(vm_.ca_certificate().public_key));
+  EXPECT_TRUE(crl.verify_signature(
+      crypto::Ed25519VerifyKey(vm_.ca_certificate().public_key)));
 }
 
 TEST_F(VmApiTestbed, PlatformListingAndRevocation) {

@@ -548,6 +548,178 @@ TEST(Ed25519Batch, RandomSweepMatchesSingleVerify) {
   for (const int count : malformed) EXPECT_GE(count, 3);
 }
 
+// ---------------------------------------------------------------------------
+// Known-key verification (Ed25519VerifyKey): from the second verification on
+// it runs on the key's fixed-base table, and every verdict must equal
+// ed25519_verify's.
+// ---------------------------------------------------------------------------
+
+// A verification key whose table is already built (two verifications).
+Ed25519VerifyKey warmed(const Ed25519PublicKey& public_key) {
+  Ed25519VerifyKey key(public_key);
+  for (int i = 0; i < 2; ++i) (void)key.verify(to_bytes("warm"), Bytes(64, 0));
+  return key;
+}
+
+void expect_known_key_matches(const Ed25519VerifyKey& key, ByteView message,
+                              ByteView signature, const std::string& what) {
+  EXPECT_EQ(key.verify(message, signature),
+            ed25519_verify(key.public_key(), message, signature))
+      << what;
+}
+
+void expect_malformed_matches(const Ed25519VerifyKey& key, ByteView message,
+                              const Ed25519Signature& sig, int kind,
+                              int variant) {
+  expect_known_key_matches(key, message, ByteView(sig.data(), 64),
+                           "malformed R kind " + std::to_string(kind) +
+                               " variant " + std::to_string(variant));
+}
+
+TEST(Ed25519KnownKey, TableBuiltOnSecondVerificationOnly) {
+  DeterministicRandom rng(0x7ab1e);
+  const auto kp = ed25519_generate(rng);
+  const Bytes msg = to_bytes("anchor");
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
+  Ed25519VerifyKey key(kp.public_key);
+  EXPECT_TRUE(key.verify(msg, ByteView(sig.data(), 64)));
+  EXPECT_FALSE(key.has_table());
+  EXPECT_TRUE(key.verify(msg, ByteView(sig.data(), 64)));
+  EXPECT_TRUE(key.has_table());
+  // Copies share the table.
+  const Ed25519VerifyKey copy = key;
+  EXPECT_TRUE(copy.has_table());
+  EXPECT_TRUE(copy.verify(msg, ByteView(sig.data(), 64)));
+}
+
+TEST(Ed25519KnownKey, Rfc8032VectorsMatchSingleVerify) {
+  const char* seeds[] = {
+      "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+      "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+      "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7"};
+  const char* messages[] = {"", "72", "af82"};
+  for (int v = 0; v < 3; ++v) {
+    const Ed25519Seed seed = batch_seed_from_hex(seeds[v]);
+    const Bytes msg = from_hex(messages[v]);
+    const auto sig = ed25519_sign(ed25519_expand_key(seed), msg);
+    const Ed25519VerifyKey key = warmed(ed25519_public_key(seed));
+    ASSERT_TRUE(key.has_table());
+    EXPECT_TRUE(key.verify(msg, ByteView(sig.data(), 64))) << "vector " << v;
+    auto bad = sig;
+    bad[63] ^= 0x01;
+    expect_known_key_matches(key, msg, ByteView(bad.data(), 64),
+                             "vector " + std::to_string(v));
+  }
+}
+
+TEST(Ed25519KnownKey, SeededValidAndTamperedMatchSingleVerify) {
+  DeterministicRandom rng(0xa11c0);
+  std::vector<Ed25519SigningKey> signers;
+  std::vector<Ed25519VerifyKey> anchors;
+  for (int k = 0; k < 25; ++k) {
+    const auto kp = ed25519_generate(rng);
+    signers.push_back(ed25519_expand_key(kp.seed));
+    anchors.push_back(warmed(kp.public_key));
+  }
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i) % signers.size();
+    Bytes msg = rng.bytes(static_cast<std::size_t>(i) % 151);
+    auto sig = ed25519_sign(signers[k], msg);
+    const std::string what = "iteration " + std::to_string(i);
+    ASSERT_TRUE(anchors[k].verify(msg, ByteView(sig.data(), 64))) << what;
+    // Tamper one way per iteration: a signature bit, the message, or the
+    // key (another anchor's table on this signature).
+    switch (i % 3) {
+      case 0:
+        sig[static_cast<std::size_t>(i) % 64] ^=
+            static_cast<std::uint8_t>(1u << (i % 8));
+        break;
+      case 1:
+        msg.push_back(static_cast<std::uint8_t>(i));
+        break;
+      default:
+        break;
+    }
+    const Ed25519VerifyKey& key =
+        i % 3 == 2 ? anchors[(k + 1) % anchors.size()] : anchors[k];
+    const bool verdict = key.verify(msg, ByteView(sig.data(), 64));
+    ASSERT_EQ(verdict, ed25519_verify(key.public_key(), msg,
+                                      ByteView(sig.data(), 64)))
+        << what;
+    rejected += verdict ? 0 : 1;
+  }
+  EXPECT_EQ(rejected, 1000);
+}
+
+TEST(Ed25519KnownKey, MalformedRAndSMatchSingleVerify) {
+  DeterministicRandom rng(0xbad5);
+  const auto kp = ed25519_generate(rng);
+  const Ed25519SigningKey signer = ed25519_expand_key(kp.seed);
+  const Ed25519VerifyKey key = warmed(kp.public_key);
+  const Bytes msg = to_bytes("malformed");
+  const auto good = ed25519_sign(signer, msg);
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int variant = 0; variant < 64; ++variant) {
+      auto sig = good;
+      set_malformed_r(sig, static_cast<BadR>(kind),
+                      static_cast<std::uint8_t>(variant));
+      EXPECT_FALSE(key.verify(msg, ByteView(sig.data(), 64)));
+      expect_malformed_matches(key, msg, sig, kind, variant);
+    }
+  }
+  // S >= L: s + L (the same point, a non-canonical scalar), L itself, and
+  // every top byte above L's.
+  const Bytes l_le = from_hex(
+      "edd3f55c1a631258d69cf7a2def9de14"
+      "00000000000000000000000000000010");
+  auto s_plus_l = good;
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned v = s_plus_l[32 + i] + l_le[i] + carry;
+    s_plus_l[32 + i] = static_cast<std::uint8_t>(v);
+    carry = v >> 8;
+  }
+  auto s_is_l = good;
+  std::copy(l_le.begin(), l_le.end(), s_is_l.begin() + 32);
+  std::vector<Ed25519Signature> bad_s = {s_plus_l, s_is_l};
+  for (int top = 0x10; top <= 0xff; top += 0x1f) {
+    auto sig = good;
+    sig[63] = static_cast<std::uint8_t>(top);
+    bad_s.push_back(sig);
+  }
+  for (const auto& sig : bad_s) {
+    EXPECT_FALSE(key.verify(msg, ByteView(sig.data(), 64)));
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, ByteView(sig.data(), 64)));
+  }
+  // Wrong lengths.
+  EXPECT_FALSE(key.verify(msg, ByteView(good.data(), 63)));
+  EXPECT_FALSE(key.verify(msg, {}));
+}
+
+TEST(Ed25519KnownKey, NonCanonicalKeysMatchSingleVerify) {
+  // Keys whose encoding names no point or names one non-canonically: the
+  // R sweep's encodings, used as A. Neither verifier accepts anything
+  // under them, and no table is built.
+  DeterministicRandom rng(0xac0);
+  const auto kp = ed25519_generate(rng);
+  const Bytes msg = to_bytes("non-canonical A");
+  const auto sig = ed25519_sign(ed25519_expand_key(kp.seed), msg);
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int variant = 0; variant < 64; ++variant) {
+      Ed25519Signature carrier{};
+      set_malformed_r(carrier, static_cast<BadR>(kind),
+                      static_cast<std::uint8_t>(variant));
+      Ed25519PublicKey bad_key;
+      std::copy(carrier.begin(), carrier.begin() + 32, bad_key.begin());
+      const Ed25519VerifyKey key = warmed(bad_key);
+      EXPECT_FALSE(key.has_table());
+      EXPECT_FALSE(key.verify(msg, ByteView(sig.data(), 64)));
+      EXPECT_FALSE(ed25519_verify(bad_key, msg, ByteView(sig.data(), 64)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vnfsgx::crypto
 
@@ -695,6 +867,175 @@ TEST(Field25519, ToBytesMatchesBitLoopReference) {
     rng.fill(bytes);
     bytes[31] &= 0x3f;  // < 2^254 < p
     EXPECT_EQ(fe_to_bytes(fe_from_bytes(bytes)), bytes);
+  }
+}
+
+}  // namespace
+}  // namespace vnfsgx::crypto
+
+// ---------------------------------------------------------------------------
+// Scalars mod L: the radix-2^21 reduce and mul-add against the bit-serial
+// long division they replaced, kept here as the oracle.
+// ---------------------------------------------------------------------------
+namespace vnfsgx::crypto {
+namespace {
+
+using Scalar32 = std::array<std::uint8_t, 32>;
+using Wide64 = std::array<std::uint8_t, 64>;
+
+// The previous implementation: 32-bit limbs, one shift-and-subtract step
+// per input bit.
+struct OracleScalar {
+  std::array<std::uint32_t, 9> limb{};
+};
+
+constexpr std::array<std::uint32_t, 9> kOracleL = {
+    0x5cf5d3edu, 0x5812631au, 0xa2f79cd6u, 0x14def9deu, 0u,
+    0u,          0u,          0x10000000u, 0u};
+
+int oracle_cmp_order(const OracleScalar& a) {
+  for (int i = 8; i >= 0; --i) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (a.limb[idx] != kOracleL[idx]) return a.limb[idx] < kOracleL[idx] ? -1 : 1;
+  }
+  return 0;
+}
+
+void oracle_sub_order(OracleScalar& a) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < 9; ++i) {
+    const std::uint64_t d =
+        static_cast<std::uint64_t>(a.limb[i]) - kOracleL[i] - borrow;
+    a.limb[i] = static_cast<std::uint32_t>(d);
+    borrow = (d >> 32) & 1;
+  }
+}
+
+OracleScalar oracle_from_bytes_wide(ByteView bytes_le) {
+  OracleScalar r;
+  for (std::size_t byte_idx = bytes_le.size(); byte_idx-- > 0;) {
+    const std::uint8_t byte = bytes_le[byte_idx];
+    for (int bit = 7; bit >= 0; --bit) {
+      std::uint32_t carry = (byte >> bit) & 1;
+      for (std::size_t i = 0; i < 9; ++i) {
+        const std::uint32_t next_carry = r.limb[i] >> 31;
+        r.limb[i] = (r.limb[i] << 1) | carry;
+        carry = next_carry;
+      }
+      if (oracle_cmp_order(r) >= 0) oracle_sub_order(r);
+    }
+  }
+  return r;
+}
+
+Scalar32 oracle_to_bytes(const OracleScalar& s) {
+  Scalar32 out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[i * 4 + b] = static_cast<std::uint8_t>(s.limb[i] >> (8 * b));
+    }
+  }
+  return out;
+}
+
+Scalar32 oracle_reduce(const Wide64& wide) {
+  return oracle_to_bytes(oracle_from_bytes_wide(wide));
+}
+
+// (a·b + c) mod L by schoolbook product into 68 bytes, then the oracle
+// reduction.
+Scalar32 oracle_mul_add(const Scalar32& a, const Scalar32& b,
+                        const Scalar32& c) {
+  std::array<std::uint64_t, 17> acc{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      std::uint64_t ai = 0, bj = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        ai |= static_cast<std::uint64_t>(a[i * 4 + k]) << (8 * k);
+        bj |= static_cast<std::uint64_t>(b[j * 4 + k]) << (8 * k);
+      }
+      const std::uint64_t p = ai * bj;
+      acc[i + j] += p & 0xffffffffu;
+      acc[i + j + 1] += (p >> 32) + (acc[i + j] >> 32);
+      acc[i + j] &= 0xffffffffu;
+    }
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::uint64_t ci = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      ci |= static_cast<std::uint64_t>(c[i * 4 + k]) << (8 * k);
+    }
+    acc[i] += ci;
+  }
+  Bytes wide(17 * 4);
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < 17; ++i) {
+    const std::uint64_t v = acc[i] + carry;
+    carry = v >> 32;
+    for (std::size_t k = 0; k < 4; ++k) {
+      wide[i * 4 + k] = static_cast<std::uint8_t>(v >> (8 * k));
+    }
+  }
+  return oracle_to_bytes(oracle_from_bytes_wide(wide));
+}
+
+// L − 1, L and 2^n − 1 as little-endian strings of `size` bytes.
+std::vector<std::uint8_t> edge(const char* which, std::size_t size) {
+  std::vector<std::uint8_t> v(size, 0);
+  const Bytes l_le = from_hex(
+      "edd3f55c1a631258d69cf7a2def9de14"
+      "00000000000000000000000000000010");
+  if (std::string_view(which) == "max") {
+    std::fill(v.begin(), v.end(), 0xff);
+  } else if (std::string_view(which) != "zero") {
+    std::copy(l_le.begin(), l_le.end(), v.begin());
+    if (std::string_view(which) == "l-1") v[0] = 0xec;
+  }
+  return v;
+}
+
+TEST(Ed25519Scalar, ReduceWideMatchesBitSerialOracle) {
+  for (const char* which : {"zero", "l-1", "l", "max"}) {
+    Wide64 wide{};
+    const auto v = edge(which, 64);
+    std::copy(v.begin(), v.end(), wide.begin());
+    EXPECT_EQ(detail::scalar_reduce_wide(wide), oracle_reduce(wide)) << which;
+  }
+  DeterministicRandom rng(0x5c41a);
+  for (int i = 0; i < 10000; ++i) {
+    Wide64 wide;
+    rng.fill(wide);
+    // Every fifth input is a zero-extended 32-byte value, the shape key
+    // expansion reduces.
+    if (i % 5 == 1) std::fill(wide.begin() + 32, wide.end(), 0);
+    ASSERT_EQ(detail::scalar_reduce_wide(wide), oracle_reduce(wide))
+        << "iteration " << i;
+  }
+}
+
+TEST(Ed25519Scalar, MulAddMatchesBitSerialOracle) {
+  const char* edges[] = {"zero", "l-1", "l", "max"};
+  for (const char* ea : edges) {
+    for (const char* eb : edges) {
+      for (const char* ec : edges) {
+        Scalar32 a{}, b{}, c{};
+        const auto va = edge(ea, 32), vb = edge(eb, 32), vc = edge(ec, 32);
+        std::copy(va.begin(), va.end(), a.begin());
+        std::copy(vb.begin(), vb.end(), b.begin());
+        std::copy(vc.begin(), vc.end(), c.begin());
+        EXPECT_EQ(detail::scalar_mul_add(a, b, c), oracle_mul_add(a, b, c))
+            << ea << " * " << eb << " + " << ec;
+      }
+    }
+  }
+  DeterministicRandom rng(0x5c41b);
+  for (int i = 0; i < 10000; ++i) {
+    Scalar32 a, b, c;
+    rng.fill(a);
+    rng.fill(b);
+    rng.fill(c);
+    ASSERT_EQ(detail::scalar_mul_add(a, b, c), oracle_mul_add(a, b, c))
+        << "iteration " << i;
   }
 }
 

@@ -80,7 +80,7 @@ TEST_F(IasFixture, OkForRegisteredPlatform) {
   register_platform();
   const auto avr = ias_.verify_quote(make_quote().encode());
   EXPECT_EQ(avr.status(), QuoteStatus::kOk);
-  EXPECT_TRUE(avr.verify(ias_.report_signing_key()));
+  EXPECT_TRUE(avr.verify(crypto::Ed25519VerifyKey(ias_.report_signing_key())));
   EXPECT_EQ(avr.platform_id(), platform_->platform_id());
   EXPECT_EQ(avr.timestamp(), clock_.now());
 }
@@ -88,7 +88,7 @@ TEST_F(IasFixture, OkForRegisteredPlatform) {
 TEST_F(IasFixture, UnknownPlatformRejected) {
   const auto avr = ias_.verify_quote(make_quote().encode());
   EXPECT_EQ(avr.status(), QuoteStatus::kUnknownPlatform);
-  EXPECT_TRUE(avr.verify(ias_.report_signing_key()));  // errors are signed too
+  EXPECT_TRUE(avr.verify(crypto::Ed25519VerifyKey(ias_.report_signing_key())));  // errors are signed too
 }
 
 TEST_F(IasFixture, RevokedPlatformRejected) {
@@ -110,14 +110,14 @@ TEST_F(IasFixture, TamperedQuoteSignatureInvalid) {
 TEST_F(IasFixture, MalformedQuote) {
   const auto avr = ias_.verify_quote(to_bytes("not a quote"));
   EXPECT_EQ(avr.status(), QuoteStatus::kMalformed);
-  EXPECT_TRUE(avr.verify(ias_.report_signing_key()));
+  EXPECT_TRUE(avr.verify(crypto::Ed25519VerifyKey(ias_.report_signing_key())));
 }
 
 TEST_F(IasFixture, ReportSignatureTamperDetected) {
   register_platform();
   auto avr = ias_.verify_quote(make_quote().encode());
   avr.body_json[avr.body_json.size() / 2] ^= 1;
-  EXPECT_FALSE(avr.verify(ias_.report_signing_key()));
+  EXPECT_FALSE(avr.verify(crypto::Ed25519VerifyKey(ias_.report_signing_key())));
 }
 
 TEST_F(IasFixture, QuoteBodyEchoMatchesSubmitted) {

@@ -247,15 +247,15 @@ TEST(TpmTest, QuoteVerifiesAndBindsNonce) {
   std::array<std::uint8_t, 32> nonce{};
   nonce[0] = 0x55;
   const TpmQuote quote = tpm.quote(10, nonce);
-  EXPECT_TRUE(quote.verify(tpm.aik_public_key()));
+  EXPECT_TRUE(quote.verify(crypto::Ed25519VerifyKey(tpm.aik_public_key())));
   EXPECT_EQ(quote.pcr_value, tpm.read(10));
   EXPECT_EQ(quote.nonce, nonce);
 
   // Round trip + tamper detection.
   TpmQuote decoded = TpmQuote::decode(quote.encode());
-  EXPECT_TRUE(decoded.verify(tpm.aik_public_key()));
+  EXPECT_TRUE(decoded.verify(crypto::Ed25519VerifyKey(tpm.aik_public_key())));
   decoded.pcr_value[0] ^= 1;
-  EXPECT_FALSE(decoded.verify(tpm.aik_public_key()));
+  EXPECT_FALSE(decoded.verify(crypto::Ed25519VerifyKey(tpm.aik_public_key())));
 }
 
 TEST(TpmTest, QuoteFromOtherTpmRejected) {
@@ -263,7 +263,7 @@ TEST(TpmTest, QuoteFromOtherTpmRejected) {
   Tpm real(rng), rogue(rng);
   std::array<std::uint8_t, 32> nonce{};
   const TpmQuote quote = rogue.quote(10, nonce);
-  EXPECT_FALSE(quote.verify(real.aik_public_key()));
+  EXPECT_FALSE(quote.verify(crypto::Ed25519VerifyKey(real.aik_public_key())));
 }
 
 TEST(TpmTest, ImaExtendsPcr10InLockstepWithAggregate) {

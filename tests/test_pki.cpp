@@ -233,7 +233,8 @@ TEST_F(PkiFixture, CrlEncodingRoundTrip) {
   const RevocationList crl = ca_.current_crl();
   const RevocationList decoded = RevocationList::decode(crl.encode());
   EXPECT_EQ(decoded.revoked_serials, (std::vector<std::uint64_t>{5, 9}));
-  EXPECT_TRUE(decoded.verify_signature(ca_.root_certificate().public_key));
+  EXPECT_TRUE(decoded.verify_signature(
+      crypto::Ed25519VerifyKey(ca_.root_certificate().public_key)));
   EXPECT_TRUE(decoded.is_revoked(5));
   EXPECT_FALSE(decoded.is_revoked(6));
 }
@@ -644,7 +645,8 @@ TEST_F(CacheFixture, CrlBinarySearchMatchesLinear) {
   // Round-trips keep sortedness; hand-built unsorted lists stay correct.
   const RevocationList decoded = RevocationList::decode(crl.encode());
   EXPECT_TRUE(decoded.serials_sorted);
-  EXPECT_TRUE(decoded.verify_signature(ca_.root_certificate().public_key));
+  EXPECT_TRUE(decoded.verify_signature(
+      crypto::Ed25519VerifyKey(ca_.root_certificate().public_key)));
   RevocationList unsorted = crl;
   unsorted.serials_sorted = false;
   std::reverse(unsorted.revoked_serials.begin(),
@@ -662,9 +664,11 @@ TEST_F(CacheFixture, OutOfOrderRevocationStillSignsCorrectly) {
   const RevocationList crl = ca_.revoke(50);
   EXPECT_TRUE(crl.serials_sorted);
   EXPECT_EQ(crl.revoked_serials, (std::vector<std::uint64_t>{7, 50, 100}));
-  EXPECT_TRUE(crl.verify_signature(ca_.root_certificate().public_key));
+  EXPECT_TRUE(crl.verify_signature(
+      crypto::Ed25519VerifyKey(ca_.root_certificate().public_key)));
   EXPECT_TRUE(RevocationList::decode(crl.encode())
-                  .verify_signature(ca_.root_certificate().public_key));
+                  .verify_signature(crypto::Ed25519VerifyKey(
+                      ca_.root_certificate().public_key)));
 }
 
 }  // namespace

@@ -496,7 +496,7 @@ class RatlsNegativeFixture : public RatlsFixture {
     c.truststore = &client_trust_;
     c.clock = &clock_;
     c.rng = &rng_;
-    if (client_trust_.roots().empty()) {
+    if (client_trust_.root_count() == 0) {
       client_trust_.add_root(ca_.root_certificate());
     }
     return c;

@@ -226,7 +226,7 @@ TEST_F(RobustnessFixture, TpmQuoteDecoder) {
   const Bytes encoded = tpm.quote(10, {}).encode();
   mutation_sweep(encoded, [&](const Bytes& b) {
     const auto q = ima::TpmQuote::decode(b);
-    (void)q.verify(tpm.aik_public_key());
+    (void)q.verify(crypto::Ed25519VerifyKey(tpm.aik_public_key()));
   });
 }
 

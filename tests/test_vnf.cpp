@@ -10,6 +10,7 @@
 #include "http/client.h"
 #include "http/server.h"
 #include "net/inmemory.h"
+#include "obs/metrics.h"
 #include "pki/ca.h"
 #include "pki/truststore.h"
 #include "tls/session.h"
@@ -186,6 +187,106 @@ TEST_F(VnfFixture, TlsOpenRequiresCertificate) {
   EXPECT_THROW(vnf.credentials().tls_open(std::move(client_end), clock_.now(), "c",
                                           ca_.root_certificate()),
                Error);
+}
+
+// ---------------------------------------------------------------------------
+// The enclave's trust store lives across sessions: one per enclave, rebuilt
+// only when tls_open is given a different CA root.
+// ---------------------------------------------------------------------------
+
+std::uint64_t cert_cache_hits() {
+  return obs::registry()
+      .counter("vnfsgx_cache_requests_total",
+               {{"cache", "cert_validation"}, {"result", "hit"}})
+      .value();
+}
+
+class EnclaveTrustFixture : public VnfFixture {
+ protected:
+  EnclaveTrustFixture()
+      : vnf_(make_vnf("vnf-1")), server_kp_(crypto::ed25519_generate(rng_)) {
+    const auto pub = vnf_.credentials().generate_key();
+    vnf_.credentials().install_certificate(ca_.issue(
+        {"vnf-1", ""}, pub,
+        static_cast<std::uint8_t>(pki::KeyUsage::kClientAuth)));
+    server_cert_ = ca_.issue(
+        {"controller", ""}, server_kp_.public_key,
+        static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth), 3600);
+  }
+
+  // One in-enclave session to a server presenting server_cert_: ping, echo,
+  // close. The server validates against a fresh store of its own, so every
+  // cert_validation hit counted here is the enclave's. Throws if the
+  // enclave refuses the server.
+  void open_session(UnixTime now, const pki::Certificate& ca_root) {
+    pki::TrustStore server_trust;
+    server_trust.add_root(ca_.root_certificate());
+    auto [client_end, server_end] = net::make_pipe();
+    std::thread server([&, s = std::move(server_end)]() mutable {
+      tls::Config cfg;
+      cfg.certificate = server_cert_;
+      cfg.signer = tls::Config::software_signer(server_kp_.seed);
+      cfg.require_client_certificate = true;
+      cfg.truststore = &server_trust;
+      cfg.clock = &clock_;
+      cfg.rng = &server_rng_;
+      try {
+        auto session = tls::Session::accept(std::move(s), cfg);
+        session->write(session->read_exact(4));
+        session->close();
+      } catch (const std::exception&) {
+        // The enclave refused us; the client side reports it.
+      }
+    });
+    try {
+      vnf_.credentials().tls_open(std::move(client_end), now, "controller",
+                                  ca_root);
+      vnf_.credentials().tls_send(to_bytes("ping"));
+      EXPECT_EQ(to_string(vnf_.credentials().tls_recv(16)), "ping");
+      vnf_.credentials().tls_close();
+    } catch (...) {
+      server.join();
+      throw;
+    }
+    server.join();
+  }
+
+  Vnf vnf_;
+  crypto::Ed25519KeyPair server_kp_;
+  pki::Certificate server_cert_;
+  DeterministicRandom server_rng_{43};
+};
+
+TEST_F(EnclaveTrustFixture, SecondSessionReusesTheStore) {
+  const std::uint64_t before = cert_cache_hits();
+  open_session(clock_.now(), ca_.root_certificate());
+  EXPECT_EQ(cert_cache_hits(), before);  // first contact: a miss
+  open_session(clock_.now(), ca_.root_certificate());
+  // One hit: the controller certificate's cached verdict. A rebuilt store
+  // (a second add_root) would start with an empty cache and miss again.
+  EXPECT_EQ(cert_cache_hits(), before + 1);
+}
+
+TEST_F(EnclaveTrustFixture, NewRootReplacesTheStore) {
+  open_session(clock_.now(), ca_.root_certificate());
+  // A different CA under the same name: the controller certificate chains
+  // to it by name, but its signature is the old CA's.
+  pki::CertificateAuthority other(pki::DistinguishedName{"vm-ca", ""}, rng_,
+                                  clock_);
+  const std::uint64_t before = cert_cache_hits();
+  EXPECT_ANY_THROW(open_session(clock_.now(), other.root_certificate()));
+  EXPECT_EQ(cert_cache_hits(), before);  // no cached accept was served
+  // Going back to the first root rebuilds the store again and succeeds.
+  EXPECT_NO_THROW(open_session(clock_.now(), ca_.root_certificate()));
+}
+
+TEST_F(EnclaveTrustFixture, ExpiredCertificateRefusedDespiteCachedVerdict) {
+  open_session(clock_.now(), ca_.root_certificate());
+  const std::uint64_t before = cert_cache_hits();
+  EXPECT_ANY_THROW(
+      open_session(server_cert_.not_after + 1, ca_.root_certificate()));
+  // The verdict came from the cache; the validity window did not.
+  EXPECT_EQ(cert_cache_hits(), before + 1);
 }
 
 TEST_F(VnfFixture, TlsSendWithoutSessionThrows) {
