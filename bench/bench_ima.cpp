@@ -53,21 +53,40 @@ void BM_ImaCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ImaCacheHit)->Unit(benchmark::kNanosecond);
 
-void BM_ImlEncodeDecode(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  ima::SimulatedFilesystem fs;
-  populate(fs, n);
-  ima::ImaSubsystem ima(fs, ima::ImaPolicy::tcb_default());
-  for (int i = 0; i < n; ++i) ima.on_exec("/opt/bin/tool" + std::to_string(i));
-
-  for (auto _ : state) {
-    const Bytes encoded = ima.list().encode();
-    const auto decoded = ima::MeasurementList::decode(encoded);
-    benchmark::DoNotOptimize(decoded);
+/// A populated IMA subsystem whose list has `n` measurement entries.
+struct MeasuredHost {
+  explicit MeasuredHost(int n) : ima(fs, ima::ImaPolicy::tcb_default()) {
+    populate(fs, n);
+    for (int i = 0; i < n; ++i) ima.on_exec("/opt/bin/tool" + std::to_string(i));
   }
-  state.counters["bytes"] = static_cast<double>(ima.list().encode().size());
+  ima::SimulatedFilesystem fs;
+  ima::ImaSubsystem ima;
+};
+
+void BM_ImlEncode(benchmark::State& state) {
+  // The host agent's side of every attest_host.
+  const MeasuredHost host(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(host.ima.list().encode());
+  }
+  state.counters["bytes"] = static_cast<double>(host.ima.list().encode().size());
 }
-BENCHMARK(BM_ImlEncodeDecode)
+BENCHMARK(BM_ImlEncode)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ImlDecode(benchmark::State& state) {
+  // The Verification Manager's side of every attest_host.
+  const MeasuredHost host(static_cast<int>(state.range(0)));
+  const Bytes encoded = host.ima.list().encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ima::MeasurementList::decode(encoded));
+  }
+  state.counters["bytes"] = static_cast<double>(encoded.size());
+}
+BENCHMARK(BM_ImlDecode)
     ->Arg(10)
     ->Arg(100)
     ->Arg(1000)
@@ -75,15 +94,11 @@ BENCHMARK(BM_ImlEncodeDecode)
 
 void BM_Appraisal(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  ima::SimulatedFilesystem fs;
-  populate(fs, n);
-  ima::ImaSubsystem ima(fs, ima::ImaPolicy::tcb_default());
-  for (int i = 0; i < n; ++i) ima.on_exec("/opt/bin/tool" + std::to_string(i));
-
+  const MeasuredHost host(n);
   core::AppraisalDatabase db;
-  db.learn(ima.list());
+  db.learn(host.ima.list());
   for (auto _ : state) {
-    const auto result = db.appraise(ima.list());
+    const auto result = db.appraise(host.ima.list());
     if (!result.trustworthy) state.SkipWithError("unexpected verdict");
   }
   state.counters["files"] = n;
@@ -98,18 +113,14 @@ BENCHMARK(BM_Appraisal)
 void BM_AppraisalDetectsTamper(benchmark::State& state) {
   // Worst case is identical to the clean case (full scan either way);
   // this documents that detection latency does not regress.
-  const int n = 1000;
-  ima::SimulatedFilesystem fs;
-  populate(fs, n);
-  ima::ImaSubsystem ima(fs, ima::ImaPolicy::tcb_default());
-  for (int i = 0; i < n; ++i) ima.on_exec("/opt/bin/tool" + std::to_string(i));
+  MeasuredHost host(1000);
   core::AppraisalDatabase db;
-  db.learn(ima.list());
-  fs.tamper_file("/opt/bin/tool500");
-  ima.on_exec("/opt/bin/tool500");
+  db.learn(host.ima.list());
+  host.fs.tamper_file("/opt/bin/tool500");
+  host.ima.on_exec("/opt/bin/tool500");
 
   for (auto _ : state) {
-    const auto result = db.appraise(ima.list());
+    const auto result = db.appraise(host.ima.list());
     if (result.trustworthy) state.SkipWithError("tamper missed");
   }
 }

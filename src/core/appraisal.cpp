@@ -1,88 +1,37 @@
 #include "core/appraisal.h"
 
-#include "obs/metrics.h"
-
 namespace vnfsgx::core {
-
-namespace {
-
-constexpr std::size_t kMaxCachedAppraisals = 1024;
-
-obs::Counter& cache_counter(const char* result) {
-  return obs::registry().counter(
-      "vnfsgx_cache_requests_total",
-      {{"cache", "appraisal"}, {"result", result}},
-      "IML appraisal cache lookups by outcome");
-}
-
-obs::Counter& eviction_counter() {
-  return obs::registry().counter(
-      "vnfsgx_cache_evictions_total", {{"cache", "appraisal"}},
-      "Cached appraisals dropped (policy generation bump or capacity)");
-}
-
-}  // namespace
-
-void AppraisalDatabase::bump_generation() {
-  generation_.fetch_add(1, std::memory_order_release);
-}
-
-std::uint64_t AppraisalDatabase::generation() const {
-  return generation_.load(std::memory_order_acquire);
-}
-
-AppraisalDatabase::CacheStripe& AppraisalDatabase::stripe_for(
-    const crypto::Sha256Digest& key) const {
-  // SHA-256 output is uniform; the first byte picks a stripe fairly.
-  return cache_stripes_[key[0] % kCacheStripes];
-}
-
-std::uint64_t AppraisalDatabase::cache_hits() const {
-  std::uint64_t total = 0;
-  for (const CacheStripe& stripe : cache_stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    total += stripe.hits;
-  }
-  return total;
-}
-
-std::uint64_t AppraisalDatabase::cache_misses() const {
-  std::uint64_t total = 0;
-  for (const CacheStripe& stripe : cache_stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    total += stripe.misses;
-  }
-  return total;
-}
 
 void AppraisalDatabase::expect_file(const std::string& path,
                                     const ima::Digest& digest) {
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   expected_files_[path] = digest;
-  bump_generation();
 }
 
 void AppraisalDatabase::learn(const ima::MeasurementList& golden) {
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   for (const ima::ImaEntry& entry : golden.entries()) {
     if (!entry.is_violation()) {
       expected_files_[entry.file_path] = entry.file_digest;
     }
   }
-  bump_generation();
 }
 
 void AppraisalDatabase::allow_enclave(const sgx::Measurement& mr_enclave) {
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   allowed_enclaves_.insert(mr_enclave);
-  bump_generation();
 }
 
 bool AppraisalDatabase::enclave_allowed(
     const sgx::Measurement& mr_enclave) const {
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   return allowed_enclaves_.count(mr_enclave) > 0;
 }
 
 AppraisalResult AppraisalDatabase::appraise(
     const ima::MeasurementList& iml) const {
   AppraisalResult result;
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   for (const ima::ImaEntry& entry : iml.entries()) {
     if (entry.is_violation()) {
       result.reason = "measurement violation recorded";
@@ -102,45 +51,6 @@ AppraisalResult AppraisalDatabase::appraise(
   }
   result.trustworthy = result.offending_paths.empty();
   if (result.trustworthy) result.reason = "all measurements match";
-  return result;
-}
-
-AppraisalResult AppraisalDatabase::appraise_cached(
-    ByteView encoded_iml, const ima::MeasurementList& iml) const {
-  const crypto::Sha256Digest key = crypto::Sha256::hash(encoded_iml);
-  CacheStripe& stripe = stripe_for(key);
-  const std::uint64_t current = generation_.load(std::memory_order_acquire);
-  {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    if (stripe.generation != current) {
-      if (!stripe.map.empty()) eviction_counter().add(stripe.map.size());
-      stripe.map.clear();
-      stripe.generation = current;
-    }
-    const auto it = stripe.map.find(key);
-    if (it != stripe.map.end()) {
-      ++stripe.hits;
-      cache_counter("hit").add();
-      return it->second;
-    }
-    ++stripe.misses;
-    cache_counter("miss").add();
-  }
-
-  const AppraisalResult result = appraise(iml);
-
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  // The appraisal ran against the generation captured above; if policy
-  // changed meanwhile, drop the verdict rather than publish a stale one.
-  if (generation_.load(std::memory_order_acquire) != current ||
-      stripe.generation != current) {
-    return result;
-  }
-  if (stripe.map.size() >= kMaxCachedAppraisals / kCacheStripes) {
-    stripe.map.erase(stripe.map.begin());
-    eviction_counter().add();
-  }
-  stripe.map[key] = result;
   return result;
 }
 

@@ -3,15 +3,12 @@
 // measurements — and the appraisal verdict logic.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "crypto/sha256.h"
 #include "ima/measurement_list.h"
 #include "sgx/measurement.h"
 
@@ -40,51 +37,16 @@ class AppraisalDatabase {
   ///  * violation entries (zero digest) => untrustworthy,
   ///  * entries for unknown paths       => untrustworthy,
   ///  * digest mismatches               => untrustworthy,
-  /// otherwise trustworthy.
+  /// otherwise trustworthy. One hash lookup per entry; thread-safe against
+  /// concurrent policy changes.
   AppraisalResult appraise(const ima::MeasurementList& iml) const;
 
-  /// appraise() with memoization: the verdict for an IML is cached under
-  /// SHA-256(encoded IML) + the current policy generation, so a fleet of
-  /// hosts booted from one golden image appraises the shared list once.
-  /// Any policy change (expect_file/learn/allow_enclave) bumps the
-  /// generation and the very next appraisal re-evaluates — no stale-grant
-  /// window. Callers must still bind `encoded_iml` to the attestation
-  /// evidence (nonce/report-data checks) before trusting the verdict;
-  /// only the policy appraisal is memoized. Thread-safe.
-  AppraisalResult appraise_cached(ByteView encoded_iml,
-                                  const ima::MeasurementList& iml) const;
-
-  /// Policy generation; bumped by every mutation (cache-key component).
-  std::uint64_t generation() const;
-
-  // Cache telemetry for tests/benches (also exported as
-  // vnfsgx_cache_requests_total{cache="appraisal"}).
-  std::uint64_t cache_hits() const;
-  std::uint64_t cache_misses() const;
-
-  std::size_t expected_file_count() const { return expected_files_.size(); }
-
  private:
-  void bump_generation();
-
-  std::map<std::string, ima::Digest> expected_files_;
+  // Written by the policy calls above while attestations read it: writers
+  // take the exclusive side, appraise()/enclave_allowed() the shared one.
+  mutable std::shared_mutex mutex_;
+  std::unordered_map<std::string, ima::Digest> expected_files_;
   std::set<sgx::Measurement> allowed_enclaves_;
-
-  /// Memoization cache, striped by IML digest so concurrent enrollments on
-  /// different runtime shards don't serialize on one cache mutex. Each
-  /// stripe lazily re-syncs to the policy generation.
-  struct CacheStripe {
-    mutable std::mutex mutex;
-    mutable std::map<crypto::Sha256Digest, AppraisalResult> map;
-    mutable std::uint64_t generation = 0;
-    mutable std::uint64_t hits = 0;
-    mutable std::uint64_t misses = 0;
-  };
-  static constexpr std::size_t kCacheStripes = 8;
-  CacheStripe& stripe_for(const crypto::Sha256Digest& key) const;
-
-  std::atomic<std::uint64_t> generation_{0};
-  mutable CacheStripe cache_stripes_[kCacheStripes];
 };
 
 }  // namespace vnfsgx::core

@@ -1,21 +1,36 @@
 #include "core/host_agent.h"
 
+#include <array>
+
 #include "obs/metrics.h"
 
 namespace vnfsgx::core {
 
 namespace {
 
-const char* request_label(MessageType type) {
+/// The per-type request counters, registered together at the first
+/// request and cached, so a request looks nothing up in the registry.
+obs::Counter& request_counter(MessageType type) {
+  static const std::array<obs::Counter*, 4> counters = [] {
+    std::array<obs::Counter*, 4> c{};
+    const char* labels[] = {"attest_host", "attest_vnf", "provision",
+                            "unknown"};
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = &obs::registry().counter(
+          "vnfsgx_host_agent_requests_total", {{"type", labels[i]}},
+          "Attestation-protocol requests served by the host agent");
+    }
+    return c;
+  }();
   switch (type) {
     case MessageType::kAttestHostRequest:
-      return "attest_host";
+      return *counters[0];
     case MessageType::kAttestVnfRequest:
-      return "attest_vnf";
+      return *counters[1];
     case MessageType::kProvisionRequest:
-      return "provision";
+      return *counters[2];
     default:
-      return "unknown";
+      return *counters[3];
   }
 }
 
@@ -30,20 +45,16 @@ Bytes HostAgent::serve_frame(ByteView request) {
   try {
     return handle(request);
   } catch (const std::exception& e) {
-    obs::registry()
-        .counter("vnfsgx_host_agent_errors_total", {},
-                 "Host-agent requests answered with an error message")
-        .add();
+    static obs::Counter& errors = obs::registry().counter(
+        "vnfsgx_host_agent_errors_total", {},
+        "Host-agent requests answered with an error message");
+    errors.add();
     return encode(ErrorMessage{e.what()});
   }
 }
 
 Bytes HostAgent::handle(ByteView request) {
-  obs::registry()
-      .counter("vnfsgx_host_agent_requests_total",
-               {{"type", request_label(peek_type(request))}},
-               "Attestation-protocol requests served by the host agent")
-      .add();
+  request_counter(peek_type(request)).add();
   switch (peek_type(request)) {
     case MessageType::kAttestHostRequest:
       return handle_attest_host(decode_attest_host_request(request));
@@ -63,7 +74,7 @@ Bytes HostAgent::handle_attest_host(const AttestHostRequest& request) {
   }
   // Snapshot the IML, have the enclave bind it to the nonce, and convert
   // the report into a quote via the Quoting Enclave.
-  const Bytes iml = host_.ima().list().encode();
+  Bytes iml = host_.ima().list().encode();
   const sgx::TargetInfo qe_target =
       host_.sgx().quoting_enclave().target_info();
   const Bytes report_bytes = enclave->call(
@@ -74,7 +85,7 @@ Bytes HostAgent::handle_attest_host(const AttestHostRequest& request) {
 
   AttestHostResponse response;
   response.quote = quote.encode();
-  response.iml = iml;
+  response.iml = std::move(iml);
   // §4 extension: ship an authenticated PCR-10 quote bound to the same
   // nonce, so the verifier can cross-check the IML against the TPM.
   response.tpm_quote =

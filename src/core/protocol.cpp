@@ -20,12 +20,14 @@ enum : std::uint8_t {
   kTagTpmQuote = 0x0a,
 };
 
-Bytes with_type(MessageType type, Bytes body) {
-  Bytes out;
-  out.reserve(body.size() + 1);
-  append_u8(out, static_cast<std::uint8_t>(type));
-  append(out, body);
-  return out;
+/// A writer whose output starts with the message type byte, so the TLV
+/// body is written in place after it. `body_size` pre-sizes the buffer.
+pki::TlvWriter typed_writer(MessageType type, std::size_t body_size = 0) {
+  pki::TlvWriter w;
+  w.reserve(1 + body_size);
+  const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
+  w.append_encoded(ByteView(&type_byte, 1));
+  return w;
 }
 
 pki::TlvReader body_reader(ByteView message, MessageType expected) {
@@ -45,51 +47,55 @@ MessageType peek_type(ByteView message) {
 }
 
 Bytes encode(const AttestHostRequest& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kAttestHostRequest);
   w.add_bytes(kTagNonce, m.nonce);
-  return with_type(MessageType::kAttestHostRequest, w.take());
+  return w.take();
 }
 
 Bytes encode(const AttestHostResponse& m) {
-  pki::TlvWriter w;
+  using W = pki::TlvWriter;
+  pki::TlvWriter w = typed_writer(
+      MessageType::kAttestHostResponse,
+      W::element_size(m.quote.size()) + W::element_size(m.iml.size()) +
+          (m.tpm_quote.empty() ? 0 : W::element_size(m.tpm_quote.size())));
   w.add_bytes(kTagQuote, m.quote);
   w.add_bytes(kTagIml, m.iml);
   if (!m.tpm_quote.empty()) w.add_bytes(kTagTpmQuote, m.tpm_quote);
-  return with_type(MessageType::kAttestHostResponse, w.take());
+  return w.take();
 }
 
 Bytes encode(const AttestVnfRequest& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kAttestVnfRequest);
   w.add_string(kTagVnfName, m.vnf_name);
   w.add_bytes(kTagNonce, m.nonce);
-  return with_type(MessageType::kAttestVnfRequest, w.take());
+  return w.take();
 }
 
 Bytes encode(const AttestVnfResponse& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kAttestVnfResponse);
   w.add_bytes(kTagQuote, m.quote);
   w.add_bytes(kTagPublicKey, m.public_key);
-  return with_type(MessageType::kAttestVnfResponse, w.take());
+  return w.take();
 }
 
 Bytes encode(const ProvisionRequest& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kProvisionRequest);
   w.add_string(kTagVnfName, m.vnf_name);
   w.add_bytes(kTagCertificate, m.certificate);
-  return with_type(MessageType::kProvisionRequest, w.take());
+  return w.take();
 }
 
 Bytes encode(const ProvisionResponse& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kProvisionResponse);
   w.add_u8(kTagOk, m.ok ? 1 : 0);
   w.add_string(kTagDetail, m.detail);
-  return with_type(MessageType::kProvisionResponse, w.take());
+  return w.take();
 }
 
 Bytes encode(const ErrorMessage& m) {
-  pki::TlvWriter w;
+  pki::TlvWriter w = typed_writer(MessageType::kError);
   w.add_string(kTagWhat, m.what);
-  return with_type(MessageType::kError, w.take());
+  return w.take();
 }
 
 AttestHostRequest decode_attest_host_request(ByteView message) {

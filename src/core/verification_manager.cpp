@@ -23,6 +23,13 @@ obs::Counter& attestation_counter(const char* kind, bool ok) {
       "vnf = steps 3-4)");
 }
 
+/// The quote an AVR with status OK echoes. The service signs OK only over
+/// a quote it decoded, so a missing one is a malformed report.
+const sgx::Quote& echoed_quote(const ias::ReportFields& fields) {
+  if (!fields.quote) throw ParseError("avr: echoed quote does not decode");
+  return *fields.quote;
+}
+
 }  // namespace
 
 VerificationManager::VerificationManager(crypto::RandomSource& rng,
@@ -85,13 +92,15 @@ HostAttestation VerificationManager::attest_host_impl(net::Stream& channel,
         span.child("quote_verification", obs::kStepQuoteVerification);
     return ias_.verify_quote(response.quote);
   }();
-  result.quote_status = avr.status();
+  const ias::ReportFields fields = avr.fields();
+  result.quote_status = fields.status;
   if (result.quote_status != ias::QuoteStatus::kOk) {
     result.reason = "IAS rejected quote: " + ias::to_string(result.quote_status);
     return result;
   }
-  const sgx::ReportBody quoted = avr.quoted_enclave();
-  result.platform_id = avr.platform_id();
+  const sgx::Quote& quote = echoed_quote(fields);
+  const sgx::ReportBody& quoted = quote.body;
+  result.platform_id = quote.platform_id;
 
   // The quote must come from the known integrity attestation enclave...
   if (!appraisal_.enclave_allowed(quoted.mr_enclave) ||
@@ -151,11 +160,7 @@ HostAttestation VerificationManager::attest_host_impl(net::Stream& channel,
     result.tpm_verified = true;
   }
 
-  // Nonce and report-data binding were checked above against exactly these
-  // IML bytes; the (pure) policy appraisal itself is memoized by IML digest
-  // + policy generation, so a fleet booted from one golden image appraises
-  // the shared list once.
-  result.appraisal = appraisal_.appraise_cached(response.iml, iml);
+  result.appraisal = appraisal_.appraise(iml);
   if (!result.appraisal.trustworthy) {
     result.reason = "IML appraisal failed: " + result.appraisal.reason;
     return result;
@@ -180,7 +185,10 @@ VnfAttestation VerificationManager::attest_vnf(net::Stream& channel,
   obs::Span span = obs::tracer().start_span("enclave_attestation",
                                             obs::kStepEnclaveAttestation);
   span.annotate("vnf", vnf_name);
-  VnfAttestation result = attest_vnf_impl(channel, vnf_name, span);
+  AttestVnfRequest request;
+  request.vnf_name = vnf_name;
+  request.nonce = fresh_nonce();
+  VnfAttestation result = attest_vnf_impl(channel, request, &span);
   span.annotate("result", result.trustworthy ? "ok" : "fail");
   if (!result.trustworthy) span.annotate("reason", result.reason);
   span.end();
@@ -189,14 +197,9 @@ VnfAttestation VerificationManager::attest_vnf(net::Stream& channel,
   return result;
 }
 
-VnfAttestation VerificationManager::attest_vnf_impl(net::Stream& channel,
-                                                    const std::string& vnf_name,
-                                                    obs::Span& span) {
+VnfAttestation VerificationManager::attest_vnf_impl(
+    net::Stream& channel, const AttestVnfRequest& request, obs::Span* span) {
   VnfAttestation result;
-
-  AttestVnfRequest request;
-  request.vnf_name = vnf_name;
-  request.nonce = fresh_nonce();
   const Bytes raw = rpc(channel, encode(request));
   if (peek_type(raw) == MessageType::kError) {
     result.reason = "host error: " + decode_error(raw).what;
@@ -204,25 +207,21 @@ VnfAttestation VerificationManager::attest_vnf_impl(net::Stream& channel,
   }
   const AttestVnfResponse response = decode_attest_vnf_response(raw);
 
-  ias::VerificationReport avr = [&] {
-    obs::Span verify = span.child("enclave_quote_verification",
-                                  obs::kStepEnclaveQuoteVerification);
+  const ias::VerificationReport avr = [&] {
+    obs::Span verify = span ? span->child("enclave_quote_verification",
+                                          obs::kStepEnclaveQuoteVerification)
+                            : obs::Span();
     return ias_.verify_quote(response.quote);
   }();
-  return finish_vnf_attestation(vnf_name, request.nonce, response, avr);
-}
-
-VnfAttestation VerificationManager::finish_vnf_attestation(
-    const std::string& vnf_name, const Nonce& nonce,
-    const AttestVnfResponse& response, const ias::VerificationReport& avr) {
-  VnfAttestation result;
-  result.quote_status = avr.status();
+  const ias::ReportFields fields = avr.fields();
+  result.quote_status = fields.status;
   if (result.quote_status != ias::QuoteStatus::kOk) {
     result.reason = "IAS rejected quote: " + ias::to_string(result.quote_status);
     return result;
   }
-  const sgx::ReportBody quoted = avr.quoted_enclave();
-  result.platform_id = avr.platform_id();
+  const sgx::Quote& quote = echoed_quote(fields);
+  const sgx::ReportBody& quoted = quote.body;
+  result.platform_id = quote.platform_id;
   result.public_key = response.public_key;
 
   // The protocol continues only on hosts that passed attestation (§2).
@@ -236,7 +235,7 @@ VnfAttestation VerificationManager::finish_vnf_attestation(
     return result;
   }
   const sgx::ReportData expected =
-      vnf::credential_report_data(nonce, response.public_key);
+      vnf::credential_report_data(request.nonce, response.public_key);
   if (!crypto::ct_equal(ByteView(expected.data(), expected.size()),
                         ByteView(quoted.report_data.data(),
                                  quoted.report_data.size()))) {
@@ -248,11 +247,11 @@ VnfAttestation VerificationManager::finish_vnf_attestation(
   result.reason = "VNF enclave attested";
   {
     const std::lock_guard<std::shared_mutex> lock(mutex_);
-    attested_vnfs_[vnf_name] =
+    attested_vnfs_[request.vnf_name] =
         AttestedVnf{response.public_key, result.platform_id};
     ++vnfs_attested_;
   }
-  VNFSGX_LOG_INFO("vm", "VNF '", vnf_name, "' enclave attested");
+  VNFSGX_LOG_INFO("vm", "VNF '", request.vnf_name, "' enclave attested");
   return result;
 }
 
@@ -261,10 +260,6 @@ std::vector<VnfAttestation> VerificationManager::attest_fleet(
   static obs::Histogram& duration = obs::registry().histogram(
       "vnfsgx_fleet_attestation_duration_us", {}, {},
       "Wall time of one attest_fleet call (all targets, all phases)");
-  static obs::Histogram& batch_size = obs::registry().histogram(
-      "vnfsgx_ed25519_batch_size", {},
-      {1, 2, 4, 8, 16, 32, 64, 128, 256},
-      "AVR signatures checked per Ed25519 batch verification");
 
   std::vector<VnfAttestation> results(targets.size());
   if (targets.empty()) return results;
@@ -273,95 +268,40 @@ std::vector<VnfAttestation> VerificationManager::attest_fleet(
                                             obs::kStepEnclaveAttestation);
   span.annotate("fleet_size", std::to_string(targets.size()));
 
-  struct Slot {
-    AttestVnfRequest request;
-    AttestVnfResponse response;
-    ias::VerificationReport avr;
-    std::string error;  // transport/decode/IAS failure captured by the worker
-    bool have_avr = false;
-  };
-  std::vector<Slot> slots(targets.size());
-
-  // Phase 0 (serial): draw every nonce up front — the RandomSource is not
-  // required to be thread-safe, so it must not be shared across workers.
+  // Draw every nonce up front: the RandomSource is not required to be
+  // thread-safe, so it must not be shared across workers.
+  std::vector<AttestVnfRequest> requests(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    slots[i].request.vnf_name = targets[i].vnf_name;
-    slots[i].request.nonce = fresh_nonce();
+    requests[i].vnf_name = targets[i].vnf_name;
+    requests[i].nonce = fresh_nonce();
   }
 
-  // Phase 1 (parallel): overlap the RPC and IAS legs of independent
-  // attestations on a bounded worker set. The AVR signature check is
-  // deferred to one batch verification in phase 2. Each worker owns the
-  // slots it claims; channels are per-target, and the IAS client is
-  // thread-safe (pooled).
+  // Each worker runs whole attestations, AVR signature check included, so
+  // one target's checks overlap the other targets' RPC and IAS legs.
+  // Channels are per-target, and the IAS client is thread-safe (pooled).
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= targets.size()) return;
-      Slot& slot = slots[i];
       try {
-        const Bytes raw = rpc(*targets[i].channel, encode(slot.request));
-        if (peek_type(raw) == MessageType::kError) {
-          slot.error = "host error: " + decode_error(raw).what;
-          continue;
-        }
-        slot.response = decode_attest_vnf_response(raw);
-        slot.avr = ias_.fetch_report_unverified(slot.response.quote);
-        slot.have_avr = true;
+        results[i] = attest_vnf_impl(*targets[i].channel, requests[i], nullptr);
+      } catch (const ias::ReportSignatureError&) {
+        results[i].reason = ias::ReportSignatureError::kReason;
       } catch (const std::exception& e) {
-        slot.error = e.what();
+        results[i].reason = e.what();
       }
+      attestation_counter("vnf", results[i].trustworthy).add();
     }
   };
   if (max_workers == 0) max_workers = 8;
-  const std::size_t worker_count = std::min(max_workers, targets.size());
+  // The calling thread is one of the workers.
+  const std::size_t extra_workers = std::min(max_workers, targets.size()) - 1;
   std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (std::size_t i = 0; i < worker_count; ++i) workers.emplace_back(worker);
+  workers.reserve(extra_workers);
+  for (std::size_t i = 0; i < extra_workers; ++i) workers.emplace_back(worker);
+  worker();
   for (std::thread& t : workers) t.join();
-
-  // Phase 2 (serial): one Ed25519 batch verification over every collected
-  // AVR. The views alias slot storage, which no longer moves.
-  std::vector<std::size_t> pending;
-  std::vector<crypto::Ed25519BatchItem> items;
-  pending.reserve(slots.size());
-  items.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].have_avr) continue;
-    pending.push_back(i);
-    crypto::Ed25519BatchItem item;
-    item.public_key = ias_.report_signing_key();
-    item.message = ByteView(
-        reinterpret_cast<const std::uint8_t*>(slots[i].avr.body_json.data()),
-        slots[i].avr.body_json.size());
-    item.signature =
-        ByteView(slots[i].avr.signature.data(), slots[i].avr.signature.size());
-    items.push_back(item);
-  }
-  batch_size.observe(static_cast<double>(items.size()));
-  const std::vector<bool> sig_ok = crypto::ed25519_verify_batch(
-      std::span<const crypto::Ed25519BatchItem>(items), &rng_);
-
-  // Phase 3 (serial): per-target checks and state updates, identical to the
-  // attest_vnf tail.
-  std::vector<bool> avr_trusted(slots.size(), false);
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    avr_trusted[pending[j]] = sig_ok[j];
-  }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    VnfAttestation& result = results[i];
-    if (!slots[i].error.empty()) {
-      result.reason = slots[i].error;
-    } else if (!avr_trusted[i]) {
-      result.reason = "ias: report signature verification failed";
-    } else {
-      result = finish_vnf_attestation(targets[i].vnf_name,
-                                      slots[i].request.nonce,
-                                      slots[i].response, slots[i].avr);
-    }
-    attestation_counter("vnf", result.trustworthy).add();
-  }
 
   std::size_t ok_count = 0;
   for (const VnfAttestation& r : results) ok_count += r.trustworthy ? 1 : 0;

@@ -94,12 +94,12 @@ class VerificationManager {
   /// Fleet-scale steps 3-4: attest N independent VNF enclaves at once.
   ///
   /// The serial path pays (RPC + IAS round-trip + Ed25519 verify) × N back to
-  /// back. Here the RPC and IAS legs of independent attestations overlap on a
-  /// bounded worker set (IAS traffic additionally rides the keep-alive pool),
-  /// and all N AVR signatures are checked in a single Ed25519 batch
-  /// verification; a failing batch falls back to per-report verification, so
-  /// one forged report is individually rejected while the rest of the fleet
-  /// still passes. Verdicts are identical to calling attest_vnf N times.
+  /// back. Here independent attestations run on a bounded worker set (the
+  /// calling thread included; IAS traffic rides the keep-alive pool), each
+  /// worker checking its own AVR signature with the pinned IAS key while
+  /// the other round trips are in flight. Verdicts are identical to calling
+  /// attest_vnf N times; a failure (forged report, transport error) is
+  /// reported for its own target only.
   ///
   /// Nonces are drawn serially before workers start (the RandomSource is not
   /// required to be thread-safe). Results are index-aligned with `targets`.
@@ -136,17 +136,12 @@ class VerificationManager {
 
   // Protocol bodies; the public wrappers add the Figure-1 span + metrics.
   HostAttestation attest_host_impl(net::Stream& channel, obs::Span& span);
+  // Steps 3-4 for one challenge whose nonce the caller drew; attest_vnf and
+  // every attest_fleet worker share it, so their verdicts are identical.
+  // `span` (null on the fleet path) parents the quote-verification span.
   VnfAttestation attest_vnf_impl(net::Stream& channel,
-                                 const std::string& vnf_name, obs::Span& span);
-  // Shared tail of steps 3-4 once the AVR signature is trusted (checked
-  // individually on the serial path, batch-checked on the fleet path):
-  // quote status, platform trust, enclave measurement, report-data binding,
-  // then state update. Keeping one implementation keeps fleet verdicts
-  // bit-identical to attest_vnf.
-  VnfAttestation finish_vnf_attestation(const std::string& vnf_name,
-                                        const Nonce& nonce,
-                                        const AttestVnfResponse& response,
-                                        const ias::VerificationReport& avr);
+                                 const AttestVnfRequest& request,
+                                 obs::Span* span);
   std::optional<pki::Certificate> enroll_vnf_impl(net::Stream& channel,
                                                   const std::string& vnf_name,
                                                   const std::string& common_name);

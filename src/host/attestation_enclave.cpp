@@ -31,7 +31,7 @@ class AttestationEnclaveLogic final : public sgx::TrustedLogic {
     }
     pki::TlvReader r(input);
     const auto nonce = r.expect_array<32>(kTagNonce);
-    const Bytes iml = r.expect_bytes(kTagIml);
+    const ByteView iml = r.expect(kTagIml);
     const sgx::TargetInfo target =
         sgx::TargetInfo::decode(r.expect(kTagTargetInfo));
 
@@ -46,10 +46,14 @@ class AttestationEnclaveLogic final : public sgx::TrustedLogic {
 Bytes encode_iml_report_request(const std::array<std::uint8_t, 32>& nonce,
                                 ByteView iml_bytes,
                                 const sgx::TargetInfo& target) {
+  const Bytes target_bytes = target.encode();
   pki::TlvWriter w;
+  w.reserve(pki::TlvWriter::element_size(nonce.size()) +
+            pki::TlvWriter::element_size(iml_bytes.size()) +
+            pki::TlvWriter::element_size(target_bytes.size()));
   w.add_bytes(kTagNonce, nonce);
   w.add_bytes(kTagIml, iml_bytes);
-  w.add_bytes(kTagTargetInfo, target.encode());
+  w.add_bytes(kTagTargetInfo, target_bytes);
   return w.take();
 }
 

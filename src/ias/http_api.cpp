@@ -65,7 +65,7 @@ IasClient::IasClient(Connect connect,
           http::ClientPool::Options{max_connections, "ias"})),
       report_key_(report_signing_key) {}
 
-VerificationReport IasClient::fetch_report_unverified(ByteView quote_bytes) {
+VerificationReport IasClient::verify_quote(ByteView quote_bytes) {
   json::Object request_body;
   request_body["isvEnclaveQuote"] = base64_encode(quote_bytes);
 
@@ -75,7 +75,7 @@ VerificationReport IasClient::fetch_report_unverified(ByteView quote_bytes) {
   req.headers.set("Content-Type", "application/json");
   req.body = to_bytes(json::serialize(json::Value(std::move(request_body))));
 
-  obs::Gauge& inflight = obs::registry().gauge(
+  static obs::Gauge& inflight = obs::registry().gauge(
       "vnfsgx_ias_inflight", {},
       "IAS verification round-trips currently in flight");
   inflight.add(1);
@@ -100,13 +100,8 @@ VerificationReport IasClient::fetch_report_unverified(ByteView quote_bytes) {
     throw ProtocolError("ias: bad signature length");
   }
   std::copy(sig.begin(), sig.end(), avr.signature.begin());
-  return avr;
-}
-
-VerificationReport IasClient::verify_quote(ByteView quote_bytes) {
-  VerificationReport avr = fetch_report_unverified(quote_bytes);
   if (!avr.verify(report_key_)) {
-    throw ProtocolError("ias: report signature verification failed");
+    throw ReportSignatureError();
   }
   return avr;
 }

@@ -20,6 +20,15 @@ namespace vnfsgx::ias {
 ///   GET  /attestation/v4/sigrl/<hex platform id> -> revocation flag
 http::Router make_ias_router(IasService& service);
 
+/// IasClient::verify_quote's error for a report whose signature does not
+/// verify against the pinned key (a forged report or a rogue service).
+class ReportSignatureError : public ProtocolError {
+ public:
+  static constexpr const char* kReason =
+      "ias: report signature verification failed";
+  ReportSignatureError() : ProtocolError(kReason) {}
+};
+
 /// Client wrapper used by the Verification Manager.
 ///
 /// Requests run over a keep-alive connection pool: a fleet attestation's
@@ -36,19 +45,10 @@ class IasClient {
   IasClient(Connect connect, crypto::Ed25519PublicKey report_signing_key,
             std::size_t max_connections = 8);
 
-  /// Submit a quote; verifies the AVR signature before returning.
-  /// Throws ProtocolError on transport/HTTP errors or a bad signature.
+  /// Submit a quote; verifies the AVR signature against the pinned key
+  /// before returning. Throws ProtocolError on transport/HTTP errors and
+  /// ReportSignatureError on a bad signature.
   VerificationReport verify_quote(ByteView quote_bytes);
-
-  /// Submit a quote and return the AVR *without* checking its signature:
-  /// the fleet path defers that to one Ed25519 batch verification across
-  /// all attestations. Callers must check the signature against
-  /// report_signing_key() (or batch-equivalent) before trusting the report.
-  VerificationReport fetch_report_unverified(ByteView quote_bytes);
-
-  const crypto::Ed25519PublicKey& report_signing_key() const {
-    return report_key_.public_key();
-  }
 
   /// Total IAS connections dialed (reconnect meter for tests/benches).
   std::uint64_t connections_dialed() const { return pool_->connects(); }

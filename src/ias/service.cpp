@@ -31,7 +31,24 @@ QuoteStatus status_from_string(const std::string& s) {
   if (s == "UNKNOWN_PLATFORM") return QuoteStatus::kUnknownPlatform;
   return QuoteStatus::kMalformed;
 }
+
+sgx::Quote echoed_quote(const json::Value& body) {
+  return sgx::Quote::decode(
+      base64_decode(body.at("isvEnclaveQuoteBody").as_string()));
+}
 }  // namespace
+
+ReportFields VerificationReport::fields() const {
+  const json::Value body = json::parse(body_json);
+  ReportFields fields;
+  fields.status =
+      status_from_string(body.at("isvEnclaveQuoteStatus").as_string());
+  try {
+    fields.quote = echoed_quote(body);
+  } catch (const ParseError&) {
+  }
+  return fields;
+}
 
 QuoteStatus VerificationReport::status() const {
   return status_from_string(
@@ -47,15 +64,11 @@ UnixTime VerificationReport::timestamp() const {
 }
 
 sgx::ReportBody VerificationReport::quoted_enclave() const {
-  const Bytes quote_bytes =
-      base64_decode(json::parse(body_json).at("isvEnclaveQuoteBody").as_string());
-  return sgx::Quote::decode(quote_bytes).body;
+  return echoed_quote(json::parse(body_json)).body;
 }
 
 sgx::PlatformId VerificationReport::platform_id() const {
-  const Bytes quote_bytes =
-      base64_decode(json::parse(body_json).at("isvEnclaveQuoteBody").as_string());
-  return sgx::Quote::decode(quote_bytes).platform_id;
+  return echoed_quote(json::parse(body_json)).platform_id;
 }
 
 bool VerificationReport::verify(const crypto::Ed25519VerifyKey& ias_key) const {

@@ -31,13 +31,24 @@ enum class QuoteStatus {
 
 std::string to_string(QuoteStatus status);
 
+/// What a verifier checks in a report, from one parse of its body.
+struct ReportFields {
+  QuoteStatus status = QuoteStatus::kMalformed;
+  /// The echoed quote; nullopt when its bytes do not decode (the service
+  /// echoes a malformed quote as it was submitted).
+  std::optional<sgx::Quote> quote;
+};
+
 /// Signed attestation verification report (the IAS response: a JSON body
 /// plus a detached signature, like the X-IASReport-Signature header).
 struct VerificationReport {
   std::string body_json;
   crypto::Ed25519Signature signature{};
 
-  /// Parsed accessors over body_json.
+  /// status(), quoted_enclave() and platform_id() from one parse.
+  ReportFields fields() const;
+
+  /// Parsed accessors over body_json; each parses it again.
   QuoteStatus status() const;
   std::string report_id() const;
   UnixTime timestamp() const;

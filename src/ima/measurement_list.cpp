@@ -73,21 +73,38 @@ Digest MeasurementList::aggregate() const {
 }
 
 Bytes MeasurementList::encode() const {
-  pki::TlvWriter w;
+  // One pass at the exact size: each entry's nested fields are written in
+  // place after its header, with no per-entry child writer.
+  const auto value_size = [](const ImaEntry& entry) {
+    using W = pki::TlvWriter;
+    return W::element_size(4) + W::element_size(entry.template_hash.size()) +
+           W::element_size(entry.template_name.size()) +
+           W::element_size(entry.file_digest.size()) +
+           W::element_size(entry.file_path.size());
+  };
+  std::size_t total = 0;
   for (const ImaEntry& entry : entries_) {
-    pki::TlvWriter e;
-    e.add_u32(kTagPcr, entry.pcr);
-    e.add_bytes(kTagTemplateHash, entry.template_hash);
-    e.add_string(kTagTemplateName, entry.template_name);
-    e.add_bytes(kTagFileDigest, entry.file_digest);
-    e.add_string(kTagFilePath, entry.file_path);
-    w.add_bytes(kTagEntry, e.bytes());
+    total += pki::TlvWriter::element_size(value_size(entry));
+  }
+  pki::TlvWriter w;
+  w.reserve(total);
+  for (const ImaEntry& entry : entries_) {
+    w.add_header(kTagEntry, value_size(entry));
+    w.add_u32(kTagPcr, entry.pcr);
+    w.add_bytes(kTagTemplateHash, entry.template_hash);
+    w.add_string(kTagTemplateName, entry.template_name);
+    w.add_bytes(kTagFileDigest, entry.file_digest);
+    w.add_string(kTagFilePath, entry.file_path);
   }
   return w.take();
 }
 
 MeasurementList MeasurementList::decode(ByteView data) {
   MeasurementList list;
+  // Count the entries first, so the list is allocated once at its size.
+  std::size_t count = 0;
+  for (pki::TlvReader r(data); !r.done(); ++count) r.expect(kTagEntry);
+  list.entries_.reserve(count);
   pki::TlvReader r(data);
   while (!r.done()) {
     pki::TlvReader e(r.expect(kTagEntry));

@@ -11,12 +11,14 @@ namespace vnfsgx::net {
 
 inline constexpr std::size_t kDefaultMaxFrame = 1u << 24;  // 16 MiB
 
-/// Write one frame.
+/// Write one frame: header and payload in a single write, so the peer
+/// sees one chunk (one readiness wake-up, one TLS record, one syscall).
 inline void write_frame(Stream& stream, ByteView payload) {
-  Bytes header;
-  append_u32(header, static_cast<std::uint32_t>(payload.size()));
-  stream.write(header);
-  stream.write(payload);
+  Bytes frame;
+  frame.reserve(4 + payload.size());
+  append_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  append(frame, payload);
+  stream.write(frame);
 }
 
 /// Read one frame. Throws ParseError if the length exceeds `max_size`

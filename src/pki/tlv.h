@@ -15,27 +15,51 @@ namespace vnfsgx::pki {
 
 class TlvWriter {
  public:
+  /// Encoded size of one element carrying `value_size` value bytes.
+  static constexpr std::size_t element_size(std::size_t value_size) {
+    return 4 + value_size;
+  }
+
+  /// Pre-size the output (callers that know the exact size write it in
+  /// one allocation).
+  void reserve(std::size_t size) { out_.reserve(size); }
+
+  /// Write only the tag/length header of an element whose `value_size`
+  /// value bytes the caller appends next, e.g. nested elements encoded in
+  /// place instead of through a child writer.
+  void add_header(std::uint8_t tag, std::size_t value_size) {
+    if (value_size > 0xffffff) throw Error("tlv: value too large");
+    const std::uint8_t header[4] = {tag,
+                                    static_cast<std::uint8_t>(value_size >> 16),
+                                    static_cast<std::uint8_t>(value_size >> 8),
+                                    static_cast<std::uint8_t>(value_size)};
+    append(out_, ByteView(header, 4));
+  }
+
   void add_bytes(std::uint8_t tag, ByteView value) {
-    if (value.size() > 0xffffff) throw Error("tlv: value too large");
-    append_u8(out_, tag);
-    append_u24(out_, static_cast<std::uint32_t>(value.size()));
+    add_header(tag, value.size());
     append(out_, value);
   }
 
   void add_string(std::uint8_t tag, std::string_view value) {
-    add_bytes(tag, to_bytes(value));
+    add_bytes(tag, ByteView(reinterpret_cast<const std::uint8_t*>(value.data()),
+                            value.size()));
   }
 
   void add_u64(std::uint8_t tag, std::uint64_t value) {
-    Bytes b;
-    append_u64(b, value);
-    add_bytes(tag, b);
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) {
+      b[i] = static_cast<std::uint8_t>(value >> (56 - 8 * i));
+    }
+    add_bytes(tag, ByteView(b, 8));
   }
 
   void add_u32(std::uint8_t tag, std::uint32_t value) {
-    Bytes b;
-    append_u32(b, value);
-    add_bytes(tag, b);
+    std::uint8_t b[4];
+    for (int i = 0; i < 4; ++i) {
+      b[i] = static_cast<std::uint8_t>(value >> (24 - 8 * i));
+    }
+    add_bytes(tag, ByteView(b, 4));
   }
 
   void add_u8(std::uint8_t tag, std::uint8_t value) {

@@ -1,5 +1,9 @@
 #include "ratls/verifier.h"
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+
 #include "common/error.h"
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
@@ -9,11 +13,27 @@ namespace vnfsgx::ratls {
 
 namespace {
 
-void meter(const char* result) {
-  obs::registry()
-      .counter("vnfsgx_ratls_appraisals_total", {{"result", result}},
-               "RA-TLS certificate appraisals by outcome")
-      .add();
+/// Every appraisal outcome; meter() takes one of these literals.
+constexpr std::array<std::string_view, 8> kResults = {
+    "ok", "malformed", "key_binding", "sigstruct_identity",
+    "self_signature", "unknown_platform", "quote_signature", "measurement"};
+
+/// Count one appraisal. The outcome counters are registered together at
+/// the first appraisal and cached, so an appraisal looks nothing up in the
+/// metrics registry.
+void meter(std::string_view result) {
+  static const std::array<obs::Counter*, kResults.size()> counters = [] {
+    std::array<obs::Counter*, kResults.size()> c{};
+    for (std::size_t i = 0; i < kResults.size(); ++i) {
+      c[i] = &obs::registry().counter("vnfsgx_ratls_appraisals_total",
+                                      {{"result", std::string(kResults[i])}},
+                                      "RA-TLS certificate appraisals by outcome");
+    }
+    return c;
+  }();
+  const auto it = std::find(kResults.begin(), kResults.end(), result);
+  if (it == kResults.end()) throw Error("ratls: unlisted appraisal outcome");
+  counters[static_cast<std::size_t>(it - kResults.begin())]->add();
 }
 
 ByteView sig_view(const crypto::Ed25519Signature& sig) {

@@ -3,7 +3,9 @@
 // enroll with the controller), plus the adversarial paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/base64.h"
@@ -15,6 +17,7 @@
 #include "http/client.h"
 #include "net/framing.h"
 #include "net/inmemory.h"
+#include "pki/tlv.h"
 #include "testbed/testbed.h"
 #include "vnf/functions.h"
 
@@ -62,6 +65,55 @@ TEST(Protocol, RoundTrips) {
   EXPECT_EQ(peek_type(encode(em)), MessageType::kError);
   EXPECT_THROW(peek_type({}), ParseError);
   EXPECT_THROW(decode_attest_host_request(encode(em)), ProtocolError);
+}
+
+// The message encoder before the type byte was written in place: a body
+// built by a growing TlvWriter, then copied behind the type byte. Kept as
+// the oracle that the wire bytes did not move.
+Bytes with_type_oracle(MessageType type, const pki::TlvWriter& body) {
+  Bytes out;
+  append_u8(out, static_cast<std::uint8_t>(type));
+  append(out, body.bytes());
+  return out;
+}
+
+TEST(Protocol, AttestHostResponseMatchesOldEncoder) {
+  AttestHostResponse m;
+  m.quote = to_bytes("quote bytes");
+  m.iml.resize(123'890);
+  for (std::size_t i = 0; i < m.iml.size(); ++i) {
+    m.iml[i] = static_cast<std::uint8_t>(i * 31);
+  }
+  for (const bool with_tpm : {false, true}) {
+    m.tpm_quote = with_tpm ? to_bytes("tpm quote") : Bytes{};
+    pki::TlvWriter body;
+    body.add_bytes(0x02, m.quote);
+    body.add_bytes(0x03, m.iml);
+    if (with_tpm) body.add_bytes(0x0a, m.tpm_quote);
+    const Bytes encoded = encode(m);
+    EXPECT_EQ(encoded, with_type_oracle(MessageType::kAttestHostResponse, body))
+        << "with_tpm=" << with_tpm;
+    EXPECT_EQ(encoded.capacity(), encoded.size());  // pre-sized, no regrowth
+    const AttestHostResponse decoded = decode_attest_host_response(encoded);
+    EXPECT_EQ(decoded.iml, m.iml);
+    EXPECT_EQ(decoded.tpm_quote, m.tpm_quote);
+  }
+}
+
+TEST(Protocol, SmallMessagesMatchOldEncoder) {
+  AttestVnfRequest request;
+  request.vnf_name = "vnf-1";
+  request.nonce[3] = 7;
+  pki::TlvWriter request_body;
+  request_body.add_bytes(0x04, to_bytes(request.vnf_name));
+  request_body.add_bytes(0x01, request.nonce);
+  EXPECT_EQ(encode(request),
+            with_type_oracle(MessageType::kAttestVnfRequest, request_body));
+
+  ErrorMessage error{"boom"};
+  pki::TlvWriter error_body;
+  error_body.add_bytes(0x09, to_bytes(error.what));
+  EXPECT_EQ(encode(error), with_type_oracle(MessageType::kError, error_body));
 }
 
 TEST(AppraisalDatabaseTest, VerdictLogic) {
@@ -637,28 +689,49 @@ TEST_F(Testbed, RotationSignsWithNewKeyOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Appraisal cache
+// Appraisal policy changes
 // ---------------------------------------------------------------------------
 
-TEST_F(Testbed, AppraisalCacheHitsRepeatAndInvalidatesOnPolicyChange) {
+TEST_F(Testbed, MismatchingExpectFileFailsTheNextAttestation) {
   auto ch = channel();
   ASSERT_TRUE(vm_.attest_host(*ch).trustworthy);
-  EXPECT_EQ(vm_.appraisal().cache_misses(), 1u);
-  EXPECT_EQ(vm_.appraisal().cache_hits(), 0u);
 
-  // Same IML again: the appraisal is served from cache. Nonce/report-data
-  // binding is checked upstream of the cache, so a replayed quote still
-  // cannot ride a cached verdict.
-  ASSERT_TRUE(vm_.attest_host(*ch).trustworthy);
-  EXPECT_EQ(vm_.appraisal().cache_hits(), 1u);
-  EXPECT_EQ(vm_.appraisal().cache_misses(), 1u);
+  // A policy change takes effect on the very next attestation: no verdict
+  // for the old policy is ever served.
+  const ima::ImaEntry measured = host_.ima().list().entries().front();
+  vm_.appraisal().expect_file(measured.file_path,
+                              crypto::Sha256::hash(to_bytes("other build")));
+  const HostAttestation refused = vm_.attest_host(*ch);
+  EXPECT_FALSE(refused.trustworthy);
+  EXPECT_EQ(refused.reason, "IML appraisal failed: file digest mismatch");
+  EXPECT_EQ(refused.appraisal.offending_paths,
+            std::vector<std::string>{measured.file_path});
 
-  // A policy change must invalidate on the very next request: no window in
-  // which a stale verdict for the old policy generation is served.
-  vm_.appraisal().expect_file("/opt/new-tool",
-                              crypto::Sha256::hash(to_bytes("tool")));
-  ASSERT_TRUE(vm_.attest_host(*ch).trustworthy);
-  EXPECT_EQ(vm_.appraisal().cache_misses(), 2u);
+  vm_.appraisal().expect_file(measured.file_path, measured.file_digest);
+  EXPECT_TRUE(vm_.attest_host(*ch).trustworthy);
+}
+
+TEST_F(Testbed, PolicyWritesDuringAttestationsAreSafe) {
+  // The policy is written while attestations read it (the TSan lane checks
+  // the locking). The writer re-asserts the golden digests of the very
+  // entries the appraisal looks up, so every verdict stays trustworthy.
+  const std::vector<ima::ImaEntry> golden = host_.ima().list().entries();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::size_t i = 0; !done.load(); ++i) {
+      const ima::ImaEntry& entry = golden[i % golden.size()];
+      if (!entry.is_violation()) {
+        vm_.appraisal().expect_file(entry.file_path, entry.file_digest);
+      }
+    }
+  });
+  auto ch = channel();
+  for (int i = 0; i < 20; ++i) {
+    const HostAttestation result = vm_.attest_host(*ch);
+    EXPECT_TRUE(result.trustworthy) << result.reason;
+  }
+  done = true;
+  writer.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -738,6 +811,31 @@ TEST_F(FleetTestbed, FleetIsolatesFailureToTheOffendingVnf) {
     }
   }
   EXPECT_EQ(vm_.vnfs_attested(), kFleetSize - 1);
+}
+
+TEST_F(FleetTestbed, FleetFailsEveryTargetWhenIasKeyIsRogue) {
+  auto host_ch = channel();
+  ASSERT_TRUE(vm_.attest_host(*host_ch).trustworthy);
+
+  // A VM that pins a key the IAS never signed with: every worker's own
+  // signature check refuses its report.
+  VerificationManager rogue_vm(
+      bed_.rng, clock_,
+      ias::IasClient([this] { return net_.connect(testbed::kIasAddress); },
+                     crypto::ed25519_generate(bed_.rng).public_key));
+  std::vector<net::StreamPtr> channels;
+  std::vector<FleetTarget> targets;
+  for (std::size_t i = 0; i < kFleetSize; ++i) {
+    channels.push_back(channel());
+    targets.push_back({channels.back().get(), "vnf-" + std::to_string(i)});
+  }
+  const auto results = rogue_vm.attest_fleet(targets, /*max_workers=*/4);
+  ASSERT_EQ(results.size(), kFleetSize);
+  for (const auto& r : results) {
+    EXPECT_FALSE(r.trustworthy);
+    EXPECT_EQ(r.reason, "ias: report signature verification failed");
+  }
+  EXPECT_EQ(rogue_vm.vnfs_attested(), 0u);
 }
 
 TEST_F(FleetTestbed, FleetRejectsEveryVnfOnUnattestedHost) {

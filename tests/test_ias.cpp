@@ -127,6 +127,43 @@ TEST_F(IasFixture, QuoteBodyEchoMatchesSubmitted) {
   EXPECT_EQ(avr.quoted_enclave(), quote.body);
 }
 
+// fields() parses a report once; it must read what the three per-field
+// accessors read, on an OK report, a revoked platform's report and a
+// report over bytes that are not a quote.
+void expect_fields_agree(const VerificationReport& avr) {
+  const ReportFields fields = avr.fields();
+  EXPECT_EQ(fields.status, avr.status());
+  ASSERT_TRUE(fields.quote.has_value());
+  EXPECT_EQ(fields.quote->body, avr.quoted_enclave());
+  EXPECT_EQ(fields.quote->platform_id, avr.platform_id());
+}
+
+TEST_F(IasFixture, ReportFieldsAgreeWithAccessorsOnOkReport) {
+  register_platform();
+  const auto avr = ias_.verify_quote(make_quote().encode());
+  EXPECT_EQ(avr.fields().status, QuoteStatus::kOk);
+  expect_fields_agree(avr);
+}
+
+TEST_F(IasFixture, ReportFieldsAgreeWithAccessorsOnRevokedPlatform) {
+  register_platform();
+  ias_.revoke_platform(platform_->platform_id());
+  const auto avr = ias_.verify_quote(make_quote().encode());
+  EXPECT_EQ(avr.fields().status, QuoteStatus::kGroupRevoked);
+  expect_fields_agree(avr);
+}
+
+TEST_F(IasFixture, ReportFieldsAgreeWithAccessorsOnBadQuote) {
+  const auto avr = ias_.verify_quote(to_bytes("not a quote"));
+  const ReportFields fields = avr.fields();
+  EXPECT_EQ(fields.status, QuoteStatus::kMalformed);
+  EXPECT_EQ(fields.status, avr.status());
+  // The echoed bytes do not decode: the accessors throw, fields() has none.
+  EXPECT_FALSE(fields.quote.has_value());
+  EXPECT_THROW(avr.quoted_enclave(), ParseError);
+  EXPECT_THROW(avr.platform_id(), ParseError);
+}
+
 TEST_F(IasFixture, ReportIdsIncrement) {
   register_platform();
   const auto a = ias_.verify_quote(make_quote().encode());

@@ -5,6 +5,7 @@
 #include "common/hex.h"
 #include "crypto/sha256.h"
 #include "ima/subsystem.h"
+#include "pki/tlv.h"
 
 namespace vnfsgx::ima {
 namespace {
@@ -128,6 +129,59 @@ TEST(MeasurementListTest, EncodingRoundTrip) {
   ASSERT_EQ(decoded.size(), 3u);
   EXPECT_EQ(decoded.entries(), list.entries());
   EXPECT_EQ(decoded.aggregate(), list.aggregate());
+}
+
+// The encoder before the exact-size single pass: one child TlvWriter per
+// entry, wrapped as an entry element. Kept as the oracle that the wire
+// bytes did not move; u32 and string values go through add_bytes as they
+// did then.
+Bytes encode_per_entry(const MeasurementList& list) {
+  pki::TlvWriter w;
+  for (const ImaEntry& entry : list.entries()) {
+    pki::TlvWriter e;
+    Bytes pcr;
+    append_u32(pcr, entry.pcr);
+    e.add_bytes(0x02, pcr);
+    e.add_bytes(0x03, entry.template_hash);
+    e.add_bytes(0x04, to_bytes(entry.template_name));
+    e.add_bytes(0x05, entry.file_digest);
+    e.add_bytes(0x06, to_bytes(entry.file_path));
+    w.add_bytes(0x01, e.bytes());
+  }
+  return w.take();
+}
+
+void expect_encoding_unchanged(const MeasurementList& list) {
+  const Bytes encoded = list.encode();
+  EXPECT_EQ(encoded, encode_per_entry(list));
+  EXPECT_EQ(encoded.capacity(), encoded.size());  // sized exactly, once
+  EXPECT_EQ(MeasurementList::decode(encoded).entries(), list.entries());
+}
+
+TEST(MeasurementListTest, EncodingMatchesPerEntryEncoder) {
+  MeasurementList list;
+  expect_encoding_unchanged(list);  // 0 entries
+
+  list.add_measurement(crypto::Sha256::hash(to_bytes("a")), "/bin/a");
+  expect_encoding_unchanged(list);  // 1 entry
+
+  list.add_violation("/tmp/bad");
+  list.add_measurement(crypto::Sha256::hash(to_bytes("e")), "");
+  list.add_measurement(crypto::Sha256::hash(to_bytes("long")),
+                       "/" + std::string(299, 'p'));  // 300-byte path
+  list.add_violation("");
+  expect_encoding_unchanged(list);
+
+  MeasurementList large;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string path = "/opt/bin/tool" + std::to_string(i);
+    if (i % 97 == 0) {
+      large.add_violation(path);
+    } else {
+      large.add_measurement(crypto::Sha256::hash(to_bytes(path)), path);
+    }
+  }
+  expect_encoding_unchanged(large);  // 1,000 entries
 }
 
 TEST(MeasurementListTest, DecodeRejectsGarbage) {
